@@ -70,11 +70,15 @@ def _echo(inst: CongruenceInstance, with_b=True) -> dict:
 
 def _run_count(args) -> _Result:
     inst = _instance(args)
-    if args.method is None:
-        method = "formula" if check_condition(inst).holds else "iep-partitions"
+    method = args.method
+    if method is None:
+        try:
+            value, method = distinct_count_formula(inst), "formula"
+        except HypothesisError:
+            method = "iep-partitions"
+            value = distinct_count(inst, method)
     else:
-        method = args.method
-    value = distinct_count(inst, method)
+        value = distinct_count(inst, method)
     return _Result(
         human=[str(value)],
         doc={"inputs": _echo(inst), "method": method, "count": str(value)},
@@ -106,10 +110,9 @@ def _run_compare(args) -> _Result:
     results: dict[str, int] = {}
     skipped: dict[str, str] = {}
     try:
-        if check_condition(inst).holds:
-            results["formula"] = distinct_count_formula(inst)
-        else:
-            skipped["formula"] = "hypothesis fails"
+        results["formula"] = distinct_count_formula(inst)
+    except HypothesisError:
+        skipped["formula"] = "hypothesis fails"
     except ResourceLimitError:
         skipped["formula"] = "subset cap exceeded"
     for name, fn in (

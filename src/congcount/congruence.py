@@ -129,7 +129,8 @@ def distinct_count_formula(inst: CongruenceInstance) -> int:
         value = (-1) ** (k - 1) * fact * (ell - 1) + base
     else:
         value = (-1) ** k * fact + base
-    assert value >= 0, f"negative count {value} for {inst}"
+    if value < 0:
+        raise AssertionError(f"negative count {value} for {inst}")
     return value
 
 
@@ -142,7 +143,7 @@ def schoenemann_count(p: int, coeffs) -> int:
 
         (-1)**(k-1) * (k-1)! * (p-1) + (p-1)(p-2)...(p-k+1)
 
-    Delegates to distinct_count_formula with b = 0, n = p and asserts
+    Delegates to distinct_count_formula with b = 0, n = p and checks
     agreement with that closed form.
     """
     if not is_prime(p):
@@ -154,7 +155,8 @@ def schoenemann_count(p: int, coeffs) -> int:
     value = distinct_count_formula(inst)
     k = len(coeffs)
     closed = (-1) ** (k - 1) * math.factorial(k - 1) * (p - 1) + falling_factorial(p, k)
-    assert value == closed, f"closed form {closed} != general formula {value}"
+    if value != closed:
+        raise AssertionError(f"closed form {closed} != general formula {value}")
     return value
 
 
@@ -164,7 +166,7 @@ def rademacher_brauer_count(n: int, k: int, b: int) -> int:
     Evaluates phi(n)**k / n times a product over prime divisors p of n:
     factor 1 - (-1)**(k-1) / (p-1)**(k-1) when p divides b, else
     1 - (-1)**k / (p-1)**k.  Exact rational arithmetic throughout; the result
-    is asserted to be a non-negative integer.  For n = 1 the empty product
+    is checked to be a non-negative integer.  For n = 1 the empty product
     gives 1, the all-zero tuple (gcd(0, 1) = 1).
     """
     if n < 1:
@@ -177,7 +179,8 @@ def rademacher_brauer_count(n: int, k: int, b: int) -> int:
             value *= 1 - Fraction((-1) ** (k - 1), (p - 1) ** (k - 1))
         else:
             value *= 1 - Fraction((-1) ** k, (p - 1) ** k)
-    assert value.denominator == 1 and value >= 0, f"non-integral count {value}"
+    if value.denominator != 1 or value < 0:
+        raise AssertionError(f"non-integral count {value}")
     return int(value)
 
 

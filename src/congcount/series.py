@@ -1,11 +1,13 @@
 """Truncated power series with exact rational coefficients.
 
-Univariate series carry just enough arithmetic for coefficient extraction
-(add, multiply, log, integer powers), plus the deformed exponential series
-sum_m alpha**m * beta**C(m,2) / m! and the three-variable Rogers-Ramanujan
-term with q-factorial denominators.  A small bivariate variant (outer
-variable y, inner variable z, both truncated) backs the two-variable
-coefficient identities checked against the graph tables.
+One engine does the arithmetic: bivariate truncations, grids indexed
+[e][m] by y-degree e and z-degree m, with multiply, integer powers (by
+repeated squaring) and log (by the recurrence from (log a)' a = a').  The
+univariate SeriesPoly operations run on that engine as one-row grids.
+Alongside sit the deformed exponential series sum_m alpha**m * beta**C(m,2)
+/ m! in one and two variables, and the three-variable Rogers-Ramanujan term
+with q-factorial denominators.  The two-variable identities are checked
+against the graph tables.
 
 All coefficients are fractions.Fraction; floating point never enters.
 """
@@ -54,49 +56,26 @@ def series_add(p: SeriesPoly, q: SeriesPoly) -> SeriesPoly:
     return SeriesPoly([p.coeff(m) + q.coeff(m) for m in range(length)])
 
 
-def series_mul(p: SeriesPoly, q: SeriesPoly, order: int) -> SeriesPoly:
-    """Product truncated after the coefficient of the order-th power."""
+def _one_row(p: SeriesPoly, order: int) -> list[list[Fraction]]:
+    """p padded or truncated to order + 1 coefficients, as a one-row grid."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    out = [Fraction(0)] * (order + 1)
-    for i, a in enumerate(p.coeffs[: order + 1]):
-        if not a:
-            continue
-        for j, b in enumerate(q.coeffs[: order + 1 - i]):
-            if b:
-                out[i + j] += a * b
-    return SeriesPoly(out)
+    return [[p.coeff(m) for m in range(order + 1)]]
+
+
+def series_mul(p: SeriesPoly, q: SeriesPoly, order: int) -> SeriesPoly:
+    """Product truncated after the coefficient of the order-th power."""
+    return SeriesPoly(bivar_mul(_one_row(p, order), _one_row(q, order))[0])
 
 
 def series_pow(p: SeriesPoly, exponent: int, order: int) -> SeriesPoly:
     """p raised to a positive integer power, truncated at the given order."""
-    if exponent < 1:
-        raise ValueError(f"exponent must be a positive integer, got {exponent}")
-    out = SeriesPoly(p.coeffs[: order + 1])
-    for _ in range(exponent - 1):
-        out = series_mul(out, p, order)
-    return out
+    return SeriesPoly(bivar_pow(_one_row(p, order), exponent)[0])
 
 
 def series_log(p: SeriesPoly, order: int) -> SeriesPoly:
-    """Logarithm of a series with constant term 1, truncated at the given order.
-
-    With q = p - 1 (which has no constant term), log p = sum_{j>=1}
-    (-1)**(j+1) q**j / j, and terms with j > order cannot contribute.
-    """
-    if p.coeff(0) != 1:
-        raise ValueError("series_log requires constant term 1")
-    q = SeriesPoly([Fraction(0)] + list(p.coeffs[1 : order + 1]))
-    out = [Fraction(0)] * (order + 1)
-    power = q
-    for j in range(1, order + 1):
-        sign = Fraction((-1) ** (j + 1), j)
-        for m, c in enumerate(power.coeffs[: order + 1]):
-            if c:
-                out[m] += sign * c
-        if j < order:
-            power = series_mul(power, q, order)
-    return SeriesPoly(out)
+    """Logarithm of a series with constant term 1, truncated at the given order."""
+    return SeriesPoly(bivar_log(_one_row(p, order))[0])
 
 
 def deformed_exp_truncated(beta, order: int) -> SeriesPoly:
@@ -173,34 +152,44 @@ def bivar_mul(a, b) -> list[list[Fraction]]:
 
 
 def bivar_pow(a, exponent: int) -> list[list[Fraction]]:
-    """a raised to a positive integer power."""
+    """a raised to a positive integer power, by repeated squaring."""
     if exponent < 1:
         raise ValueError(f"exponent must be a positive integer, got {exponent}")
-    out = [row[:] for row in a]
-    for _ in range(exponent - 1):
-        out = bivar_mul(out, a)
-    return out
+    out = None
+    while True:
+        if exponent & 1:
+            out = [row[:] for row in a] if out is None else bivar_mul(out, a)
+        exponent >>= 1
+        if not exponent:
+            return out
+        a = bivar_mul(a, a)
 
 
 def bivar_log(a) -> list[list[Fraction]]:
     """Logarithm of a bivariate truncation whose z-constant column is exactly 1.
 
-    That condition makes q = a - 1 have positive z-valuation, so q**j
-    contributes nothing beyond j = z_order and the log sum is finite.
+    Column m of a is the y-polynomial a_m, and L = log a satisfies
+    z L' a = z a', so with a_0 = 1:
+
+        m L_m = m a_m - sum_{0<j<m} j L_j a_{m-j},
+
+    each product a y-polynomial truncated at the grid's y-order.
     """
     ey, ez = _bivar_shape(a)
-    if a[0][0] != 1 or any(a[e][0] for e in range(1, ey + 1)):
-        raise ValueError("bivar_log requires z-constant coefficient exactly 1")
-    q = [row[:] for row in a]
-    q[0][0] -= 1
-    out = [[Fraction(0)] * (ez + 1) for _ in range(ey + 1)]
-    power = q
-    for j in range(1, ez + 1):
-        sign = Fraction((-1) ** (j + 1), j)
-        for e in range(ey + 1):
-            for m in range(ez + 1):
-                if power[e][m]:
-                    out[e][m] += sign * power[e][m]
-        if j < ez:
-            power = bivar_mul(power, q)
-    return out
+    cols = [[row[m] for row in a] for m in range(ez + 1)]
+    if cols[0] != [1] + [0] * ey:
+        raise ValueError("log requires the z-constant coefficient to be exactly 1")
+    scaled = [None]  # scaled[j] = j * L_j
+    for m in range(1, ez + 1):
+        fm = Fraction(m)
+        acc = [fm * c for c in cols[m]]
+        for j in range(1, m):
+            col = cols[m - j]
+            for e1, x in enumerate(scaled[j]):
+                if not x:
+                    continue
+                for e2 in range(ey + 1 - e1):
+                    if col[e2]:
+                        acc[e1 + e2] -= x * col[e2]
+        scaled.append(acc)
+    return [[Fraction(0)] + [scaled[m][e] / m for m in range(1, ez + 1)] for e in range(ey + 1)]

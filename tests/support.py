@@ -5,6 +5,7 @@ or inclusion-exclusion code paths, so a test comparing against these helpers
 compares two genuinely different routes.
 """
 
+from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
@@ -61,10 +62,17 @@ def brute_distinct_count(coeffs, b, n):
 
 
 def congruence_histogram(coeffs, n):
-    """Counts of unrestricted solutions per residue b, enumerating every tuple."""
-    hist = [0] * n
-    for xs in product(range(n), repeat=len(coeffs)):
-        hist[sum(a * x for a, x in zip(coeffs, xs)) % n] += 1
+    """Counts of unrestricted solutions per residue b.
+
+    Starts from the one empty tuple at residue 0 and, one coefficient a at a
+    time, cyclically convolves with the residue counts of a*x over x in Z_n.
+    """
+    hist = [1] + [0] * (n - 1)
+    for a in coeffs:
+        step = [0] * n
+        for x in range(n):
+            step[a * x % n] += 1
+        hist = [sum(hist[r] * step[(s - r) % n] for r in range(n)) for s in range(n)]
     return hist
 
 
@@ -82,3 +90,52 @@ def trial_division_prime(n):
     if n < 2:
         return False
     return all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+# --- reference truncated-series arithmetic ---------------------------------
+#
+# Grids are indexed [e][m] (y-degree e, z-degree m) and truncated at their
+# own shape; a univariate series is a one-row grid.  These follow the
+# textbook definitions (Cauchy product, repeated product, the power-sum
+# logarithm) rather than the library's squaring and derivative recurrence.
+
+
+def reference_grid_mul(a, b):
+    """Truncated product of two same-shape grids, straight from the Cauchy sum."""
+    ey, ez = len(a) - 1, len(a[0]) - 1
+    return [
+        [
+            sum(
+                (a[e1][m1] * b[e - e1][m - m1] for e1 in range(e + 1) for m1 in range(m + 1)),
+                Fraction(0),
+            )
+            for m in range(ez + 1)
+        ]
+        for e in range(ey + 1)
+    ]
+
+
+def reference_grid_pow(a, exponent):
+    """a multiplied by itself exponent - 1 times."""
+    out = a
+    for _ in range(exponent - 1):
+        out = reference_grid_mul(out, a)
+    return out
+
+
+def reference_grid_log(a):
+    """log a = sum_{j>=1} (-1)**(j+1) q**j / j with q = a - 1.
+
+    a's z-constant column must be exactly 1, so q has no z-constant term and
+    q**j vanishes in the grid once j exceeds the z-order.
+    """
+    ey, ez = len(a) - 1, len(a[0]) - 1
+    q = [[a[e][m] - (e == 0 and m == 0) for m in range(ez + 1)] for e in range(ey + 1)]
+    out = [[Fraction(0)] * (ez + 1) for _ in range(ey + 1)]
+    power = q
+    for j in range(1, ez + 1):
+        for e in range(ey + 1):
+            for m in range(ez + 1):
+                out[e][m] += Fraction((-1) ** (j + 1), j) * power[e][m]
+        power = reference_grid_mul(power, q)
+    return out

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from congcount import cli
+from congcount import cli, congruence
 
 
 def run_cli(capsys, argv):
@@ -206,6 +206,10 @@ def test_resource_error_exits_four(capsys):
     assert err.startswith("error: resource: ")
     assert "10000000000" in err
     assert err.count("\n") == 1
+    code, _, err = run_cli(capsys, ["count", "--n", "101", "--b", "0", "--coeffs", ",".join(["1"] * 25)])
+    assert code == 4
+    assert err.startswith("error: resource: ")
+    assert err.count("\n") == 1
 
 
 def test_help_exits_zero(capsys):
@@ -234,3 +238,18 @@ def test_module_entry_point_runs_as_subprocess():
     assert proc.returncode == 0
     assert proc.stdout == "20\n"
     assert proc.stderr == "method: formula\n"
+
+
+def test_auto_count_scans_condition_once(capsys, monkeypatch):
+    calls = []
+    original = congruence.check_condition
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "check_condition", counting)
+    monkeypatch.setattr(congruence, "check_condition", counting)
+    code, out, err = run_cli(capsys, ["count", "--n", "5", "--b", "0", "--coeffs", "1,1,3"])
+    assert (code, out, err) == (0, "20\n", "method: formula\n")
+    assert len(calls) == 1

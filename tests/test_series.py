@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb, factorial
 
@@ -5,6 +6,7 @@ import pytest
 
 from congcount import series
 from congcount.series import SeriesPoly
+from support import reference_grid_log, reference_grid_mul, reference_grid_pow
 
 F = Fraction
 
@@ -132,3 +134,50 @@ def test_bivar_mul_shape_mismatch_rejected():
 def test_bivar_pow_rejects_nonpositive_exponent():
     with pytest.raises(ValueError):
         series.bivar_pow(series.deformed_exp_bivariate(1, 1), 0)
+
+
+EXPONENTS = (1, 2, 3, 8, 9)
+
+
+def _random_fraction(rng):
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def _random_grid(rng, y_order, z_order):
+    return [[_random_fraction(rng) for _ in range(z_order + 1)] for _ in range(y_order + 1)]
+
+
+def _with_unit_column(grid):
+    return [[Fraction(e == 0)] + row[1:] for e, row in enumerate(grid)]
+
+
+@pytest.mark.parametrize("y_order", [0, 1, 3])
+def test_bivar_ops_match_reference_on_random_grids(y_order):
+    rng = random.Random(100 + y_order)
+    for z_order in (0, 1, 4):
+        a = _random_grid(rng, y_order, z_order)
+        b = _random_grid(rng, y_order, z_order)
+        assert series.bivar_mul(a, b) == reference_grid_mul(a, b)
+        for t in EXPONENTS:
+            assert series.bivar_pow(a, t) == reference_grid_pow(a, t), (z_order, t)
+        unit = _with_unit_column(a)
+        assert series.bivar_log(unit) == reference_grid_log(unit), z_order
+
+
+def test_series_ops_match_reference_on_random_series():
+    rng = random.Random(7)
+    for order in (0, 1, 3, 6):
+        for length in sorted({0, 1, order, order + 1, order + 3}):
+            p = SeriesPoly([_random_fraction(rng) for _ in range(length)])
+            q = SeriesPoly([_random_fraction(rng) for _ in range(order + 3)])
+            row_p = [(list(p.coeffs) + [0] * (order + 1))[: order + 1]]
+            row_q = [list(q.coeffs[: order + 1])]
+            got = series.series_mul(p, q, order)
+            assert got == SeriesPoly(reference_grid_mul(row_p, row_q)[0]), (order, length)
+            for t in EXPONENTS:
+                got = series.series_pow(p, t, order)
+                assert got == SeriesPoly(reference_grid_pow(row_p, t)[0]), (order, length, t)
+            unit = SeriesPoly([1] + list(p.coeffs[1:]))
+            row_unit = [[Fraction(1)] + row_p[0][1:]]
+            got = series.series_log(unit, order)
+            assert got == SeriesPoly(reference_grid_log(row_unit)[0]), (order, length)
