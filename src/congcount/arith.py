@@ -39,9 +39,23 @@ def factorize(n: int) -> list[tuple[int, int]]:
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
+    # 2, 3, 5, ..., isqrt(n) are at most isqrt(n) candidates, so this never runs out
+    return factorize_bounded(n, math.isqrt(n))
+
+
+def factorize_bounded(n: int, max_trials: int) -> list[tuple[int, int]] | None:
+    """factorize(n) by trying at most max_trials candidate divisors 2, 3, 5, 7, ...
+
+    Stops as soon as d * d exceeds the unfactored cofactor, which is then 1 or
+    prime.  Returns None when the budget runs out before that.
+    """
     pairs = []
     d = 2
+    trials = 0
     while d * d <= n:
+        if trials == max_trials:
+            return None
+        trials += 1
         if n % d == 0:
             e = 0
             while n % d == 0:

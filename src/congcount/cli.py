@@ -71,7 +71,10 @@ def _echo(inst: CongruenceInstance, with_b=True) -> dict:
 def _run_count(args) -> _Result:
     inst = _instance(args)
     method = args.method
-    if method is None:
+    if method is None and inst.k > inst.n:
+        # Z_n has no k distinct residues
+        value, method = 0, "pigeonhole"
+    elif method is None:
         try:
             value, method = distinct_count_formula(inst), "formula"
         except HypothesisError:
@@ -198,7 +201,8 @@ def _build_parser() -> _Parser:
         "--method",
         choices=METHODS,
         default=None,
-        help="default: formula when the subset-sum gcd condition holds, else iep-partitions",
+        help="default: 0 by pigeonhole when k > n, else formula when the subset-sum gcd "
+        "condition holds, else iep-partitions",
     )
     p.set_defaults(handler=_run_count)
 

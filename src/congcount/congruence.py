@@ -13,8 +13,14 @@ Four counters live here:
                          to n, any b.
 
 check_condition decides the subset-sum gcd hypothesis and reports the first
-failing subset; distinct_count_formula refuses to answer when it fails, since
-no closed form is claimed in that regime (the oracle module still counts).
+failing subset, smallest size first, then lexicographically.  A subset sum is
+a non-unit exactly when a prime p | n divides it, so for each prime a
+subset-sum DP over residues mod p (bitsets per subset size, polynomial in k
+and p) finds the first zero-sum subset.  When n does not factor within the
+budget or a prime is too large for the DP's table, the 2**k - 2 subsets are
+scanned instead; the cap argument bounds the work of both routes.
+distinct_count_formula refuses to answer when the condition fails, since no
+closed form is claimed in that regime (the oracle module still counts).
 """
 
 import itertools
@@ -22,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import euler_phi, factorize, falling_factorial, is_prime
+from .arith import euler_phi, factorize, factorize_bounded, falling_factorial, is_prime
 from .errors import HypothesisError, ResourceLimitError
 
 DEFAULT_SUBSET_CAP = 24
@@ -86,23 +92,83 @@ def lehmer_count(inst: CongruenceInstance) -> int:
 def check_condition(inst: CongruenceInstance, cap: int = DEFAULT_SUBSET_CAP) -> ConditionReport:
     """Decide whether every nonempty proper index subset sums to a unit mod n.
 
-    Subsets are scanned by size, then lexicographically, so the reported
-    failing subset is deterministic.  The scan walks 2**k - 2 subsets, hence
-    the cap on k.  For k = 1 the condition is vacuously true.
+    A sum is a non-unit exactly when some prime p | n divides it, so when n
+    factors cheaply each prime gets a subset-sum DP over residues mod p (see
+    _first_zero_sum_subset); otherwise all 2**k - 2 subsets are scanned.
+    cap bounds the work of either route: trial division tries at most
+    min(2**k, 2**cap // (k+1)) divisors, so it never does more steps than the
+    scan; the DP runs when n is fully factored and every prime p | n has
+    (k+1)**2 * p <= 2**cap, which bounds its table to 2**cap bits; any other
+    input is scanned, and a scan with k > cap raises ResourceLimitError.
+
+    The reported failing subset is the first by size, then lexicographically,
+    on either route.  For k = 1 the condition is vacuously true.
     """
     k, n = inst.k, inst.n
+    ell = math.gcd(sum(inst.coeffs), n)
+    divides_b = inst.b % ell == 0
+    budget = 1 << cap
+    # 1 << min(k, cap) gives the same minimum as 2**k without building 2**k
+    pairs = factorize_bounded(n, min(1 << min(k, cap), budget // (k + 1)))
+    if pairs is None or any((k + 1) ** 2 * p > budget for p, _ in pairs):
+        failing = _scan_failing_subset(inst.coeffs, n, cap)
+    else:
+        witnesses = [_first_zero_sum_subset(inst.coeffs, p) for p, _ in pairs]
+        failing = min(
+            (w for w in witnesses if w is not None), key=lambda w: (len(w), w), default=None
+        )
+    return ConditionReport(failing is None, failing, ell, divides_b)
+
+
+def _scan_failing_subset(coeffs, n: int, cap: int) -> tuple[int, ...] | None:
+    """First failing subset by walking all subsets by size, then lexicographically."""
+    k = len(coeffs)
     if k > cap:
         raise ResourceLimitError(
             f"subset scan would need 2**{k} - 2 gcd checks; cap is k <= {cap}"
         )
-    ell = math.gcd(sum(inst.coeffs), n)
-    divides_b = inst.b % ell == 0
     for size in range(1, k):
         for subset in itertools.combinations(range(1, k + 1), size):
-            s = sum(inst.coeffs[i - 1] for i in subset)
-            if math.gcd(s, n) > 1:
-                return ConditionReport(False, subset, ell, divides_b)
-    return ConditionReport(True, None, ell, divides_b)
+            if math.gcd(sum(coeffs[i - 1] for i in subset), n) > 1:
+                return subset
+    return None
+
+
+def _first_zero_sum_subset(coeffs, p: int) -> tuple[int, ...] | None:
+    """First (by size, then lexicographically) nonempty proper subset summing to 0 mod p.
+
+    suf[i][s] is a p-bit mask of the residues that size-s subsets of coeffs[i:]
+    reach; adding coefficient a rotates a mask by a.  Sizes stop at
+    min(k-1, p): among any p coefficients some nonempty subset sums to 0 mod p
+    (pigeonhole on prefix sums), so no first failing subset is larger.  The
+    subset is built greedily, taking each index whose inclusion still lets the
+    later indices complete a zero sum of the chosen size.
+    """
+    k = len(coeffs)
+    top = min(k - 1, p)
+    mask = (1 << p) - 1
+    suf = [None] * (k + 1)
+    suf[k] = row = [1] + [0] * top
+    for i in range(k - 1, -1, -1):
+        a = coeffs[i] % p
+        row = [row[0]] + [
+            row[s] | ((row[s - 1] << a | row[s - 1] >> (p - a)) & mask) for s in range(1, top + 1)
+        ]
+        suf[i] = row
+    size = next((s for s in range(1, top + 1) if suf[0][s] & 1), None)
+    if size is None:
+        return None
+    subset = []
+    residue = 0  # what the indices still to be chosen must sum to, mod p
+    for i in range(k):
+        left = size - len(subset)
+        if not left:
+            break
+        need = (residue - coeffs[i]) % p
+        if suf[i + 1][left - 1] >> need & 1:
+            subset.append(i + 1)
+            residue = need
+    return tuple(subset)
 
 
 def distinct_count_formula(inst: CongruenceInstance) -> int:

@@ -128,6 +128,8 @@ def deformed_exp_bivariate(y_order: int, z_order: int) -> list[list[Fraction]]:
 
 
 def _bivar_shape(a):
+    if not a or any(len(row) != len(a[0]) for row in a):
+        raise ValueError("a bivariate grid needs at least one row, all of the same length")
     return len(a) - 1, len(a[0]) - 1
 
 

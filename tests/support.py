@@ -85,6 +85,22 @@ def unit_histogram(n, k):
     return hist
 
 
+def reference_condition(coeffs, b, n):
+    """The subset-sum gcd condition by walking every nonempty proper subset.
+
+    Subsets go by size, then lexicographically, so the first failing one
+    (1-based indices) is the one the library must report.  Returns
+    (holds, failing_subset, full_sum_gcd, divides_b).
+    """
+    k = len(coeffs)
+    ell = gcd(sum(coeffs), n)
+    for size in range(1, k):
+        for subset in combinations(range(1, k + 1), size):
+            if gcd(sum(coeffs[i - 1] for i in subset), n) != 1:
+                return False, subset, ell, b % ell == 0
+    return True, None, ell, b % ell == 0
+
+
 def trial_division_prime(n):
     """Primality check used to validate factorizations independently."""
     if n < 2:

@@ -36,6 +36,17 @@ def test_factorize_examples():
     assert trial_division_prime(97)
 
 
+def test_factorize_bounded_counts_candidate_divisors():
+    # 37 is the 19th candidate of 2, 3, 5, 7, ...; after it, 39**2 > 41 ends the search
+    assert arith.factorize_bounded(37 * 41, 18) is None
+    assert arith.factorize_bounded(37 * 41, 19) == [(37, 1), (41, 1)]
+    # one division by 2 leaves the prime 3 < 3**2
+    assert arith.factorize_bounded(6, 1) == [(2, 1), (3, 1)]
+    assert arith.factorize_bounded(1, 0) == []
+    for n in range(1, 2000):
+        assert arith.factorize_bounded(n, n) == arith.factorize(n)
+
+
 def test_factorize_rejects_nonpositive():
     for n in (0, -3):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from math import perm
 
 import pytest
 
@@ -206,10 +207,18 @@ def test_resource_error_exits_four(capsys):
     assert err.startswith("error: resource: ")
     assert "10000000000" in err
     assert err.count("\n") == 1
-    code, _, err = run_cli(capsys, ["count", "--n", "101", "--b", "0", "--coeffs", ",".join(["1"] * 25)])
+    # 25 coefficients: a prime modulus too large for the residue DP leaves the
+    # 2**25 subset scan, past the cap
+    ones = ",".join(["1"] * 25)
+    code, _, err = run_cli(capsys, ["count", "--n", "1000000007", "--b", "0", "--coeffs", ones])
     assert code == 4
     assert err.startswith("error: resource: ")
+    assert "24" in err
     assert err.count("\n") == 1
+    # mod 101 the DP answers inside the budget: l = 1 divides b, so the
+    # count is 100 * 99 * ... * 77
+    code, out, err = run_cli(capsys, ["count", "--n", "101", "--b", "0", "--coeffs", ones])
+    assert (code, out, err) == (0, f"{perm(100, 24)}\n", "method: formula\n")
 
 
 def test_help_exits_zero(capsys):
@@ -253,3 +262,17 @@ def test_auto_count_scans_condition_once(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["count", "--n", "5", "--b", "0", "--coeffs", "1,1,3"])
     assert (code, out, err) == (0, "20\n", "method: formula\n")
     assert len(calls) == 1
+
+
+def test_auto_count_is_zero_when_k_exceeds_n(capsys):
+    ones = ",".join(["1"] * 25)
+    code, out, err = run_cli(capsys, ["count", "--n", "5", "--b", "0", "--coeffs", ones])
+    assert (code, out, err) == (0, "0\n", "method: pigeonhole\n")
+    argv = ["count", "--n", "2", "--b", "1", "--coeffs", "1,1,1", "--json", "--no-timing"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert json.loads(out) == {
+        "inputs": {"n": "2", "b": "1", "coeffs": ["1", "1", "1"]},
+        "method": "pigeonhole",
+        "count": "0",
+    }

@@ -1,8 +1,10 @@
+import random
 from itertools import permutations, product
 from math import gcd
 
 import pytest
 
+from congcount import congruence
 from congcount.arith import factorize, falling_factorial
 from congcount.congruence import (
     CongruenceInstance,
@@ -14,7 +16,13 @@ from congcount.congruence import (
     schoenemann_count,
 )
 from congcount.errors import HypothesisError, ResourceLimitError
-from support import brute_distinct_count, congruence_histogram, unit_histogram
+from support import (
+    brute_distinct_count,
+    congruence_histogram,
+    reference_condition,
+    trial_division_prime,
+    unit_histogram,
+)
 
 
 def test_instance_reduces_mod_n():
@@ -70,10 +78,105 @@ def test_check_condition_reports_first_failure_by_size_then_lex():
 
 
 def test_check_condition_subset_cap():
+    # 25 ones mod 101 is answered by the residue DP, far inside the budget
+    rep = check_condition(CongruenceInstance((1,) * 25, 0, 101))
+    assert rep.holds and rep.failing_subset is None
+    # a prime too large for the DP leaves only the 2**25 scan, past the cap
     with pytest.raises(ResourceLimitError, match="24"):
-        check_condition(CongruenceInstance((1,) * 25, 0, 101))
-    # a custom cap is honored
-    check_condition(CongruenceInstance((1,) * 25, 0, 101), cap=25)
+        check_condition(CongruenceInstance((1,) * 25, 0, 1000000007))
+    # a custom cap is honored both ways: 26**2 * 30011 bits fit in 2**26,
+    # not in 2**24, and a cap of 3 leaves k = 4 to a refused scan
+    with pytest.raises(ResourceLimitError, match="24"):
+        check_condition(CongruenceInstance((1,) * 25, 0, 30011))
+    assert check_condition(CongruenceInstance((1,) * 25, 0, 30011), cap=26).holds
+    with pytest.raises(ResourceLimitError, match="3"):
+        check_condition(CongruenceInstance((1, 1, 1, 1), 0, 5), cap=3)
+
+
+def _report_tuple(rep):
+    return rep.holds, rep.failing_subset, rep.full_sum_gcd, rep.divides_b
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_check_condition_matches_subset_scan_small_grid(k):
+    # Every coefficient vector mod n where n**k <= 30000, else 1000 seeded
+    # random ones; b varies with the vector so divides_b takes both values.
+    for n in range(1, 31):
+        if n**k <= 30000:
+            vectors = product(range(n), repeat=k)
+        else:
+            rng = random.Random(f"{n}:{k}")
+            vectors = [tuple(rng.randrange(n) for _ in range(k)) for _ in range(1000)]
+        for coeffs in vectors:
+            b = (7 * sum(coeffs) + 3) % n
+            rep = check_condition(CongruenceInstance(coeffs, b, n))
+            assert _report_tuple(rep) == reference_condition(coeffs, b, n), (coeffs, b, n)
+
+
+def _random_prime(rng, lo, hi):
+    while True:
+        p = rng.randint(lo, hi)
+        if trial_division_prime(p):
+            return p
+
+
+def test_check_condition_matches_subset_scan_random_wide():
+    rng = random.Random(2017)
+    small = (2, 3, 5, 7, 11, 13, 17, 19)
+    for k in range(6, 21):
+        # mid primes lie in (k, 2**k); past k = 14 they stay below 4k, so the
+        # condition fails early and the reference scan stays short
+        mid_hi = 2**k if k <= 14 else 4 * k
+        moduli = [
+            rng.choice([p for p in small if p <= k - 1]) * _random_prime(rng, k + 1, mid_hi),
+            _random_prime(rng, k + 1, mid_hi),
+            _random_prime(rng, k + 1, mid_hi) * _random_prime(rng, k + 1, mid_hi),
+        ]
+        if k <= 12:
+            # a prime factor no trial-division budget reaches: the scan route
+            big = _random_prime(rng, 10**9, 2 * 10**9)
+            moduli += [big, big * rng.choice(small), big * _random_prime(rng, k + 1, 2**k)]
+        cases = [(tuple(rng.randrange(n) for _ in range(k)), n) for n in moduli for _ in range(3)]
+        if k <= 16:
+            # coefficients in [1, 3] against primes above 3k: every proper
+            # subset sum is a unit unless the last coefficient cancels a
+            # random block of the others, which plants a late witness
+            n = _random_prime(rng, 3 * k + 1, 2**k) * rng.choice((1, _random_prime(rng, 3 * k + 1, 2**k)))
+            head = [rng.randint(1, 3) for _ in range(k - 1)]
+            block = rng.sample(head, rng.randint(1, k - 2))
+            cases += [(tuple(head + [rng.randint(1, 3)]), n), (tuple(head + [-sum(block) % n]), n)]
+        for coeffs, n in cases:
+            b = rng.randrange(n)
+            rep = check_condition(CongruenceInstance(coeffs, b, n))
+            assert _report_tuple(rep) == reference_condition(coeffs, b, n), (coeffs, b, n)
+
+
+def test_check_condition_route_rule(monkeypatch):
+    scanned = []
+    original = congruence._scan_failing_subset
+
+    def recording(coeffs, n, cap):
+        scanned.append((len(coeffs), n))
+        return original(coeffs, n, cap)
+
+    monkeypatch.setattr(congruence, "_scan_failing_subset", recording)
+    cases = [
+        # (coeffs, n, scanned): k = 3 tries 8 divisors, which miss 37 in 37 * 41
+        ((1, 2, 4), 37, False),
+        ((1, 2, 4), 37 * 41, True),
+        # k = 25: the DP needs 26**2 * p <= 2**24, i.e. p <= 24818
+        ((1, 24808) + (1,) * 23, 24809, False),
+        ((1, 24820) + (1,) * 23, 24821, True),
+    ]
+    for coeffs, n, scan in cases:
+        scanned.clear()
+        inst = CongruenceInstance(coeffs, 0, n)
+        if len(coeffs) > congruence.DEFAULT_SUBSET_CAP and scan:
+            with pytest.raises(ResourceLimitError):
+                check_condition(inst)
+        else:
+            assert _report_tuple(check_condition(inst)) == reference_condition(coeffs, 0, n)
+        assert scanned == ([(len(coeffs), n)] if scan else []), (coeffs, n)
 
 
 def test_formula_examples():

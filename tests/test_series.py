@@ -131,6 +131,15 @@ def test_bivar_mul_shape_mismatch_rejected():
         series.bivar_mul(a, b)
 
 
+def test_bivar_ops_reject_ragged_grids():
+    # z-constant column (1, 0), so only the ragged rows are wrong
+    for grid in ([[F(1), F(2)], [F(0)]], [[F(1), F(2)], [F(0), F(4), F(5)]]):
+        with pytest.raises(ValueError):
+            series.bivar_mul(grid, grid)
+        with pytest.raises(ValueError):
+            series.bivar_log(grid)
+
+
 def test_bivar_pow_rejects_nonpositive_exponent():
     with pytest.raises(ValueError):
         series.bivar_pow(series.deformed_exp_bivariate(1, 1), 0)
