@@ -107,9 +107,10 @@ def check_condition(inst: CongruenceInstance, cap: int = DEFAULT_SUBSET_CAP) -> 
     k, n = inst.k, inst.n
     ell = math.gcd(sum(inst.coeffs), n)
     divides_b = inst.b % ell == 0
-    budget = 1 << cap
-    # 1 << min(k, cap) gives the same minimum as 2**k without building 2**k
-    pairs = factorize_bounded(n, min(1 << min(k, cap), budget // (k + 1)))
+    bits = max(cap, 0)
+    budget = 1 << bits
+    # 1 << min(k, bits) gives the same minimum as 2**k without building 2**k
+    pairs = factorize_bounded(n, min(1 << min(k, bits), budget // (k + 1)))
     if pairs is None or any((k + 1) ** 2 * p > budget for p, _ in pairs):
         failing = _scan_failing_subset(inst.coeffs, n, cap)
     else:

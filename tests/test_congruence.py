@@ -91,6 +91,8 @@ def test_check_condition_subset_cap():
     assert check_condition(CongruenceInstance((1,) * 25, 0, 30011), cap=26).holds
     with pytest.raises(ResourceLimitError, match="3"):
         check_condition(CongruenceInstance((1, 1, 1, 1), 0, 5), cap=3)
+    with pytest.raises(ResourceLimitError, match="-1"):
+        check_condition(CongruenceInstance((1, 1), 0, 5), cap=-1)
 
 
 def _report_tuple(rep):
@@ -141,7 +143,8 @@ def test_check_condition_matches_subset_scan_random_wide():
             # coefficients in [1, 3] against primes above 3k: every proper
             # subset sum is a unit unless the last coefficient cancels a
             # random block of the others, which plants a late witness
-            n = _random_prime(rng, 3 * k + 1, 2**k) * rng.choice((1, _random_prime(rng, 3 * k + 1, 2**k)))
+            q, r = (_random_prime(rng, 3 * k + 1, 2**k) for _ in range(2))
+            n = q * rng.choice((1, r))
             head = [rng.randint(1, 3) for _ in range(k - 1)]
             block = rng.sample(head, rng.randint(1, k - 2))
             cases += [(tuple(head + [rng.randint(1, 3)]), n), (tuple(head + [-sum(block) % n]), n)]
