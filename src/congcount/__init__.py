@@ -30,7 +30,6 @@ from .oracle import (
     brute_force_distinct,
     iep_edge_subsets,
     iep_partitions,
-    index_partitions,
     pattern_components,
     pattern_count,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "gcd_many",
     "iep_edge_subsets",
     "iep_partitions",
-    "index_partitions",
     "is_prime",
     "lehmer_count",
     "pattern_components",

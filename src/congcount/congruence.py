@@ -17,8 +17,9 @@ failing subset, smallest size first, then lexicographically.  A subset sum is
 a non-unit exactly when a prime p | n divides it, so for each prime a
 subset-sum DP over residues mod p (bitsets per subset size, polynomial in k
 and p) finds the first zero-sum subset.  When n does not factor within the
-budget or a prime is too large for the DP's table, the 2**k - 2 subsets are
-scanned instead; the cap argument bounds the work of both routes.
+budget or a prime is too large for the DP's table, subsets are scanned
+instead, only those ordered before the DP primes' first witness if they found
+one; the cap argument bounds the work of both routes.
 distinct_count_formula refuses to answer when the condition fails, since no
 closed form is claimed in that regime (the oracle module still counts).
 """
@@ -94,12 +95,14 @@ def check_condition(inst: CongruenceInstance, cap: int = DEFAULT_SUBSET_CAP) -> 
 
     A sum is a non-unit exactly when some prime p | n divides it, so when n
     factors cheaply each prime gets a subset-sum DP over residues mod p (see
-    _first_zero_sum_subset); otherwise all 2**k - 2 subsets are scanned.
+    _first_zero_sum_subset); otherwise subsets are scanned.
     cap bounds the work of either route: trial division tries at most
     min(2**k, 2**cap // (k+1)) divisors, so it never does more steps than the
-    scan; the DP runs when n is fully factored and every prime p | n has
-    (k+1)**2 * p <= 2**cap, which bounds its table to 2**cap bits; any other
-    input is scanned, and a scan with k > cap raises ResourceLimitError.
+    scan; the DP runs for each prime p | n with (k+1)**2 * p <= 2**cap, which
+    bounds its table to 2**cap bits.  When n is not fully factored, or some
+    prime is too large for the DP, subsets are scanned: only those before the
+    first DP witness, if there is one, else all 2**k - 2; a scan of more than
+    2**cap subsets raises ResourceLimitError.
 
     The reported failing subset is the first by size, then lexicographically,
     on either route.  For k = 1 the condition is vacuously true.
@@ -111,28 +114,51 @@ def check_condition(inst: CongruenceInstance, cap: int = DEFAULT_SUBSET_CAP) -> 
     budget = 1 << bits
     # 1 << min(k, bits) gives the same minimum as 2**k without building 2**k
     pairs = factorize_bounded(n, min(1 << min(k, bits), budget // (k + 1)))
-    if pairs is None or any((k + 1) ** 2 * p > budget for p, _ in pairs):
+    if pairs is None:
         failing = _scan_failing_subset(inst.coeffs, n, cap)
     else:
-        witnesses = [_first_zero_sum_subset(inst.coeffs, p) for p, _ in pairs]
+        small = [p for p, _ in pairs if (k + 1) ** 2 * p <= budget]
+        witnesses = [_first_zero_sum_subset(inst.coeffs, p) for p in small]
         failing = min(
             (w for w in witnesses if w is not None), key=lambda w: (len(w), w), default=None
         )
+        if len(small) < len(pairs):
+            failing = _scan_failing_subset(inst.coeffs, n, cap, failing)
     return ConditionReport(failing is None, failing, ell, divides_b)
 
 
-def _scan_failing_subset(coeffs, n: int, cap: int) -> tuple[int, ...] | None:
-    """First failing subset by walking all subsets by size, then lexicographically."""
+def _scan_failing_subset(coeffs, n: int, cap: int, before=None) -> tuple[int, ...] | None:
+    """First failing subset by walking the subsets by size, then lexicographically.
+
+    Only the subsets ordered before `before` are walked, and `before` is
+    returned when none of them fails; before=None walks all 2**k - 2.  More
+    than 2**cap subsets to walk, or a negative cap, raises ResourceLimitError.
+    """
     k = len(coeffs)
-    if k > cap:
+    todo = 2 ** k - 2 if before is None else _subset_rank(k, before)
+    if cap < 0 or todo > 1 << cap:
         raise ResourceLimitError(
-            f"subset scan would need 2**{k} - 2 gcd checks; cap is k <= {cap}"
+            f"subset scan would need {todo} gcd checks; cap is 2**{cap}"
         )
-    for size in range(1, k):
-        for subset in itertools.combinations(range(1, k + 1), size):
-            if math.gcd(sum(coeffs[i - 1] for i in subset), n) > 1:
-                return subset
-    return None
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(range(1, k + 1), size) for size in range(1, k)
+    )
+    for subset in itertools.islice(subsets, todo):
+        if math.gcd(sum(coeffs[i - 1] for i in subset), n) > 1:
+            return subset
+    return before
+
+
+def _subset_rank(k: int, subset: tuple[int, ...]) -> int:
+    """Number of nonempty subsets of 1..k ordered before subset by size, then lexicographically."""
+    size = len(subset)
+    rank = sum(math.comb(k, s) for s in range(1, size))
+    prev = 0
+    for i, c in enumerate(subset):
+        # subsets agreeing before position i and smaller at it
+        rank += sum(math.comb(k - v, size - i - 1) for v in range(prev + 1, c))
+        prev = c
+    return rank
 
 
 def _first_zero_sum_subset(coeffs, p: int) -> tuple[int, ...] | None:

@@ -7,7 +7,7 @@ compares two genuinely different routes.
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import factorial, gcd
 
 
 def count_components(k, edges):
@@ -99,6 +99,48 @@ def reference_condition(coeffs, b, n):
             if gcd(sum(coeffs[i - 1] for i in subset), n) != 1:
                 return False, subset, ell, b % ell == 0
     return True, None, ell, b % ell == 0
+
+
+def index_partitions(k):
+    """Yield all set partitions of {1..k} as tuples of blocks.
+
+    Blocks appear ordered by smallest element and sorted internally.
+    """
+    blocks = []
+
+    def place(i):
+        if i > k:
+            yield tuple(tuple(b) for b in blocks)
+            return
+        for b in blocks:
+            b.append(i)
+            yield from place(i + 1)
+            b.pop()
+        blocks.append([i])
+        yield from place(i + 1)
+        blocks.pop()
+
+    yield from place(1)
+
+
+def reference_iep_partitions(coeffs, b, n):
+    """Distinct-coordinate count as the signed sum over all Bell(k) set partitions.
+
+    Each partition merges its blocks' coefficients into one variable per block
+    and weighs the merged congruence's unrestricted count
+    l * n**(blocks - 1) * [l | b], l = gcd(block sums, n), by
+    prod over blocks of (-1)**(|B|-1) (|B|-1)!.
+    """
+    total = 0
+    for blocks in index_partitions(len(coeffs)):
+        weight = 1
+        ell = n
+        for block in blocks:
+            weight *= (-1) ** (len(block) - 1) * factorial(len(block) - 1)
+            ell = gcd(ell, sum(coeffs[i - 1] for i in block))
+        if b % ell == 0:
+            total += weight * ell * n ** (len(blocks) - 1)
+    return total
 
 
 def trial_division_prime(n):

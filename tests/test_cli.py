@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 from math import perm
+from pathlib import Path
 
 import pytest
 
+import congcount
 from congcount import cli, congruence
 
 
@@ -239,10 +242,15 @@ def test_repeated_invocations_are_byte_identical(capsys):
 
 
 def test_module_entry_point_runs_as_subprocess():
+    # the child imports the package under test even when only pytest's own
+    # pythonpath setting put it on sys.path
+    paths = [str(Path(congcount.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.run(
         [sys.executable, "-m", "congcount", "count", "--n", "5", "--b", "0", "--coeffs", "1,1,3"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == "20\n"
@@ -276,3 +284,25 @@ def test_auto_count_is_zero_when_k_exceeds_n(capsys):
         "method": "pigeonhole",
         "count": "0",
     }
+
+
+def test_partition_method_is_zero_when_k_exceeds_n(capsys):
+    ones = ",".join(["1"] * 13)
+    argv = ["count", "--n", "5", "--b", "0", "--coeffs", ones, "--method", "iep-partitions"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (0, "0\n", "method: iep-partitions\n")
+    argv = ["oracle-compare", "--n", "5", "--b", "0", "--coeffs", ones, "--json", "--no-timing"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["results"] == {"iep-partitions": "0", "brute": "0"}
+    assert set(doc["skipped"]) == {"formula", "iep-edges"}
+    assert doc["agree"] is True
+
+
+def test_check_small_prime_witness_spares_the_large_prime_scan(capsys):
+    # 2000000014 = 2 * 1000000007: the prime 2 is decided by the residue DP,
+    # whose witness {1} leaves no earlier subset for the large prime's scan
+    twos = ",".join(["2"] * 25)
+    code, out, err = run_cli(capsys, ["check", "--n", "2000000014", "--coeffs", twos])
+    assert (code, out, err) == (0, "holds: false\nfailing_subset: {1}\nfull_sum_gcd: 2\n", "")

@@ -158,9 +158,9 @@ def test_check_condition_route_rule(monkeypatch):
     scanned = []
     original = congruence._scan_failing_subset
 
-    def recording(coeffs, n, cap):
+    def recording(coeffs, n, cap, *before):
         scanned.append((len(coeffs), n))
-        return original(coeffs, n, cap)
+        return original(coeffs, n, cap, *before)
 
     monkeypatch.setattr(congruence, "_scan_failing_subset", recording)
     cases = [
@@ -180,6 +180,42 @@ def test_check_condition_route_rule(monkeypatch):
         else:
             assert _report_tuple(check_condition(inst)) == reference_condition(coeffs, 0, n)
         assert scanned == ([(len(coeffs), n)] if scan else []), (coeffs, n)
+
+
+def test_check_condition_scans_only_before_dp_witness():
+    # 2 is decided by the residue DP; 1000000007 is too large for it, but the
+    # witness {1} leaves no earlier subset to scan
+    twos = (2,) * 25
+    rep = check_condition(CongruenceInstance(twos, 0, 2000000014))
+    assert _report_tuple(rep) == reference_condition(twos, 0, 2000000014)
+    assert rep.failing_subset == (1,)
+    # cap = 10, k = 11, n = 7 * 1009: 12**2 * 7 <= 2**10 < 12**2 * 1009, and the
+    # size-6 witness containing the only 2 is preceded by 1023 + 1 or + 2 subsets
+    for two_at, todo in ((7, 1024), (8, 1025)):
+        coeffs = tuple(2 if i == two_at else 1 for i in range(1, 12))
+        inst = CongruenceInstance(coeffs, 0, 7 * 1009)
+        if todo <= 2**10:
+            rep = check_condition(inst, cap=10)
+            assert _report_tuple(rep) == reference_condition(coeffs, 0, 7 * 1009)
+            assert rep.failing_subset == (1, 2, 3, 4, 5, two_at)
+        else:
+            with pytest.raises(ResourceLimitError, match=f"{todo} gcd checks"):
+                check_condition(inst, cap=10)
+    # random instances mod p * q with the DP taking the small primes p and
+    # the scan the prime q: coefficients that are multiples of q (or
+    # complete one) plant scan witnesses before or after the DP's
+    rng = random.Random(4)
+    for k in range(6, 12):
+        for _ in range(40):
+            q = _random_prime(rng, 2000, 3000)
+            n = q * rng.choice((2, 3, 5, 7, 11, 13, 6, 10))
+            coeffs = [rng.choice((rng.randrange(n), 1, 2)) for _ in range(k)]
+            for _ in range(rng.randint(0, 2)):
+                i = rng.randrange(k)
+                coeffs[i] = q * rng.randint(1, 5) if rng.random() < 0.5 else -coeffs[i - 1] % q
+            b = rng.randrange(n)
+            rep = check_condition(CongruenceInstance(coeffs, b, n), cap=16)
+            assert _report_tuple(rep) == reference_condition(tuple(coeffs), b, n), (coeffs, n)
 
 
 def test_formula_examples():

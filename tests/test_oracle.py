@@ -1,8 +1,10 @@
+import random
 from itertools import combinations, product
-from math import factorial, perm
+from math import factorial, gcd, perm
 
 import pytest
 
+from congcount import congruence, oracle
 from congcount.congruence import CongruenceInstance, lehmer_count
 from congcount.errors import ResourceLimitError
 from congcount.oracle import (
@@ -10,11 +12,10 @@ from congcount.oracle import (
     brute_force_distinct,
     iep_edge_subsets,
     iep_partitions,
-    index_partitions,
     pattern_components,
     pattern_count,
 )
-from support import brute_distinct_count
+from support import brute_distinct_count, index_partitions, reference_iep_partitions
 
 
 def test_all_pairs():
@@ -86,11 +87,92 @@ def test_iep_partitions_examples():
     assert iep_partitions(CongruenceInstance((1, 1, 3), 0, 5)) == 20
     assert iep_partitions(CongruenceInstance((2, 2), 0, 4)) == 4
     assert iep_partitions(CongruenceInstance((1, 1), 0, 2)) == 0
+    # k > n is 0 before any factoring or budget: L = 6 would plan three
+    # DPs of (3**20 + 1) // 2 steps
+    stats = {}
+    assert iep_partitions(CongruenceInstance((1,) * 19 + (5,), 0, 6), stats=stats) == 0
+    assert stats == {"divisors": 0, "dp_steps": 0}
 
 
 def test_iep_partitions_cap():
-    with pytest.raises(ResourceLimitError):
-        iep_partitions(CongruenceInstance((1,) * 13, 0, 5))
+    # the planned steps are (3**k + 1) // 2 per divisor d of L = gcd(sum, n)
+    # that does not divide every coefficient; b = 0 keeps every g(d) nonzero
+    per_divisor = (3**14 + 1) // 2
+    assert 14 * per_divisor <= oracle.PARTITION_STEP_BUDGET < 15 * per_divisor
+    head = tuple(range(1, 14))  # sum 91, and the 1 makes every d > 1 run a DP
+    # L = 144 has 14 divisors above 1: just under the budget
+    stats = {}
+    assert iep_partitions(CongruenceInstance(head + (53,), 0, 144), stats=stats) > 0
+    assert stats["divisors"] == 14
+    assert stats["dp_steps"] <= 14 * per_divisor
+    # L = 120 has 15: just over it, refused before any DP
+    with pytest.raises(ResourceLimitError, match=str(15 * per_divisor)):
+        iep_partitions(CongruenceInstance(head + (29,), 0, 120))
+
+
+def test_iep_partitions_refuses_unfactored_gcd(monkeypatch):
+    # L = 1009 * 1013 needs about 500 trial divisions
+    monkeypatch.setattr(oracle, "PARTITION_STEP_BUDGET", 100)
+    n = 1009 * 1013
+    with pytest.raises(ResourceLimitError, match="factor"):
+        iep_partitions(CongruenceInstance((1, n - 1), 0, n))
+    # with L = 1 nothing needs factoring
+    assert iep_partitions(CongruenceInstance((1, 1), 0, n)) == n - 1
+
+
+def test_iep_partitions_matches_reference_grid():
+    for n in range(1, 9):
+        for k in range(1, 5):
+            for coeffs in product(range(n), repeat=k):
+                for b in range(n):
+                    inst = CongruenceInstance(coeffs, b, n)
+                    assert iep_partitions(inst) == reference_iep_partitions(coeffs, b, n)
+
+
+def _random_vectors(rng, k):
+    """Seeded (coeffs, n) pairs: all-zero, L = n, L = 1, and n = 720."""
+    for _ in range(2):
+        n = rng.choice((k, 12, 30, 64, 72, 180, 210, rng.randint(k, 60)))
+        yield (0,) * k, n
+        head = [rng.randrange(n) for _ in range(k - 1)]
+        yield tuple(head + [-sum(head) % n]), n
+        while True:
+            coeffs = tuple(rng.randrange(n) for _ in range(k))
+            if gcd(sum(coeffs), n) == 1:
+                break
+        yield coeffs, n
+        # multiples of 6 mod 720 share many divisors with it
+        yield tuple(rng.randrange(720) * rng.choice((1, 6)) for _ in range(k)), 720
+
+
+@pytest.mark.parametrize("k", [5, 6, 7, 8, 9])
+def test_iep_partitions_matches_reference_random(k):
+    rng = random.Random(f"partitions:{k}")
+    for coeffs, n in _random_vectors(rng, k):
+        b = rng.choice((0, rng.randrange(n), n // 2, n // 4))
+        stats = {}
+        inst = CongruenceInstance(coeffs, b, n)
+        assert iep_partitions(inst, stats=stats) == reference_iep_partitions(coeffs, b, n)
+        assert stats["dp_steps"] <= stats["divisors"] * (3**k + 1) // 2
+        if gcd(sum(coeffs), n) == 1:
+            assert stats == {"divisors": 0, "dp_steps": 0}
+
+
+def test_iep_partitions_makes_no_lehmer_calls(monkeypatch):
+    calls = []
+
+    def counting(inst):
+        calls.append(inst)
+        return lehmer_count(inst)
+
+    monkeypatch.setattr(oracle, "lehmer_count", counting)
+    monkeypatch.setattr(congruence, "lehmer_count", counting)
+    stats = {}
+    assert iep_partitions(CongruenceInstance((1, 2, 3, 4, 2), 0, 12), stats=stats) == (
+        reference_iep_partitions((1, 2, 3, 4, 2), 0, 12)
+    )
+    assert stats["divisors"] > 0
+    assert calls == []
 
 
 def test_partition_weights_compress_edge_subset_signs():
