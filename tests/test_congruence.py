@@ -189,18 +189,17 @@ def test_check_condition_scans_only_before_dp_witness():
     rep = check_condition(CongruenceInstance(twos, 0, 2000000014))
     assert _report_tuple(rep) == reference_condition(twos, 0, 2000000014)
     assert rep.failing_subset == (1,)
-    # cap = 10, k = 11, n = 7 * 1009: 12**2 * 7 <= 2**10 < 12**2 * 1009, and the
-    # size-6 witness containing the only 2 is preceded by 1023 + 1 or + 2 subsets
-    for two_at, todo in ((7, 1024), (8, 1025)):
-        coeffs = tuple(2 if i == two_at else 1 for i in range(1, 12))
-        inst = CongruenceInstance(coeffs, 0, 7 * 1009)
-        if todo <= 2**10:
-            rep = check_condition(inst, cap=10)
-            assert _report_tuple(rep) == reference_condition(coeffs, 0, 7 * 1009)
-            assert rep.failing_subset == (1, 2, 3, 4, 5, two_at)
-        else:
-            with pytest.raises(ResourceLimitError, match=f"{todo} gcd checks"):
-                check_condition(inst, cap=10)
+    # cap = 10, k = 11, n = 7 * 1009: 12**2 * 7 <= 2**10 < 12**2 * 1009.  Ten
+    # ones and one 2: the witness mod 7 is the first size-6 subset holding
+    # the 2, after the 1023 smaller subsets and one or two of size 6
+    n = 7 * 1009
+    two_at_7 = (1,) * 6 + (2,) + (1,) * 4
+    rep = check_condition(CongruenceInstance(two_at_7, 0, n), cap=10)
+    assert _report_tuple(rep) == reference_condition(two_at_7, 0, n)
+    assert rep.failing_subset == (1, 2, 3, 4, 5, 7)  # 1024 = 2**10 subsets scanned
+    two_at_8 = (1,) * 7 + (2,) + (1,) * 3
+    with pytest.raises(ResourceLimitError, match="1025 gcd checks"):
+        check_condition(CongruenceInstance(two_at_8, 0, n), cap=10)
     # random instances mod p * q with the DP taking the small primes p and
     # the scan the prime q: coefficients that are multiples of q (or
     # complete one) plant scan witnesses before or after the DP's
