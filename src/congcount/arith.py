@@ -40,21 +40,33 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     # 2, 3, 5, ..., isqrt(n) are at most isqrt(n) candidates, so this never runs out
-    return factorize_bounded(n, math.isqrt(n))
+    return factor_partially(n, math.isqrt(n))[0]
 
 
 def factorize_bounded(n: int, max_trials: int) -> list[tuple[int, int]] | None:
     """factorize(n) by trying at most max_trials candidate divisors 2, 3, 5, 7, ...
 
-    Stops as soon as d * d exceeds the unfactored cofactor, which is then 1 or
-    prime.  Returns None when the budget runs out before that.
+    Returns None when the budget runs out before n is fully factored.
+    """
+    pairs, rest = factor_partially(n, max_trials)
+    return pairs if rest == 1 else None
+
+
+def factor_partially(n: int, max_trials: int) -> tuple[list[tuple[int, int]], int]:
+    """Trial division of n by at most max_trials candidate divisors 2, 3, 5, 7, ...
+
+    Returns the (prime, exponent) pairs found, primes increasing, and the
+    cofactor left unfactored: 1 when n is fully factored, which happens as
+    soon as d * d exceeds the cofactor (it is then 1 or prime, and a prime is
+    listed as a pair).  A cofactor above 1 has only prime factors larger than
+    every candidate tried.
     """
     pairs = []
     d = 2
     trials = 0
     while d * d <= n:
         if trials == max_trials:
-            return None
+            return pairs, n
         trials += 1
         if n % d == 0:
             e = 0
@@ -65,7 +77,7 @@ def factorize_bounded(n: int, max_trials: int) -> list[tuple[int, int]] | None:
         d += 1 if d == 2 else 2
     if n > 1:
         pairs.append((n, 1))
-    return pairs
+    return pairs, 1
 
 
 def euler_phi(n: int) -> int:

@@ -15,7 +15,6 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 from time import perf_counter
 
 from .congruence import (
@@ -149,24 +148,15 @@ def _run_compare(args) -> _Result:
 
 
 def _run_graph_table(args) -> _Result:
-    rows = []
+    # the tables hold only nonzero entries, in (k, e) and (k, c, e) order
     if args.connected:
         table = connected_counts(args.kmax)
-        for k in range(1, args.kmax + 1):
-            for e in range(comb(k, 2) + 1):
-                cnt = table.gprime_at(e, k)
-                if cnt:
-                    rows.append({"e": e, "k": k, "count": str(cnt)})
+        rows = [{"e": e, "k": k, "count": str(cnt)} for (e, k), cnt in table.gprime.items()]
     else:
         table = component_counts(args.kmax)
-        for k in range(1, args.kmax + 1):
-            for c in range(1, k + 1):
-                for e in range(comb(k, 2) + 1):
-                    cnt = table.g_at(c, e, k)
-                    if cnt:
-                        rows.append({"c": c, "e": e, "k": k, "count": str(cnt)})
+        rows = [{"c": c, "e": e, "k": k, "count": str(cnt)} for (c, e, k), cnt in table.g.items()]
     return _Result(
-        human=[json.dumps(row) for row in rows],
+        human=[] if args.json else [json.dumps(row) for row in rows],
         doc={"inputs": {"k_max": args.kmax, "connected": bool(args.connected)}, "rows": rows},
     )
 

@@ -16,10 +16,11 @@ check_condition decides the subset-sum gcd hypothesis and reports the first
 failing subset, smallest size first, then lexicographically.  A subset sum is
 a non-unit exactly when a prime p | n divides it, so for each prime a
 subset-sum DP over residues mod p (bitsets per subset size, polynomial in k
-and p) finds the first zero-sum subset.  When n does not factor within the
-budget or a prime is too large for the DP's table, subsets are scanned
-instead, only those ordered before the DP primes' first witness if they found
-one; the cap argument bounds the work of both routes.
+and p) finds the first zero-sum subset.  The DP runs for every prime that
+trial division finds within its budget and that fits the DP's table; when a
+prime is too large for it or a cofactor of n stays unfactored, subsets are
+scanned too, only those ordered before the DP primes' first witness if they
+found one; the cap argument bounds the work of both routes.
 distinct_count_formula refuses to answer when the condition fails, since no
 closed form is claimed in that regime (the oracle module still counts).
 """
@@ -29,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import euler_phi, factorize, factorize_bounded, falling_factorial, is_prime
+from .arith import euler_phi, factor_partially, factorize, falling_factorial, is_prime
 from .errors import HypothesisError, ResourceLimitError
 
 DEFAULT_SUBSET_CAP = 24
@@ -93,16 +94,17 @@ def lehmer_count(inst: CongruenceInstance) -> int:
 def check_condition(inst: CongruenceInstance, cap: int = DEFAULT_SUBSET_CAP) -> ConditionReport:
     """Decide whether every nonempty proper index subset sums to a unit mod n.
 
-    A sum is a non-unit exactly when some prime p | n divides it, so when n
-    factors cheaply each prime gets a subset-sum DP over residues mod p (see
-    _first_zero_sum_subset); otherwise subsets are scanned.
+    A sum is a non-unit exactly when some prime p | n divides it, so each
+    prime that trial division finds gets a subset-sum DP over residues mod p
+    (see _first_zero_sum_subset); the primes it cannot reach are left to a
+    subset scan.
     cap bounds the work of either route: trial division tries at most
     min(2**k, 2**cap // (k+1)) divisors, so it never does more steps than the
-    scan; the DP runs for each prime p | n with (k+1)**2 * p <= 2**cap, which
-    bounds its table to 2**cap bits.  When n is not fully factored, or some
-    prime is too large for the DP, subsets are scanned: only those before the
-    first DP witness, if there is one, else all 2**k - 2; a scan of more than
-    2**cap subsets raises ResourceLimitError.
+    scan; the DP runs for each prime p found with (k+1)**2 * p <= 2**cap,
+    which bounds its table to 2**cap bits.  When a cofactor of n stays
+    unfactored, or some prime is too large for the DP, subsets are scanned:
+    only those before the first DP witness, if there is one, else all
+    2**k - 2; a scan of more than 2**cap subsets raises ResourceLimitError.
 
     The reported failing subset is the first by size, then lexicographically,
     on either route.  For k = 1 the condition is vacuously true.
@@ -113,17 +115,14 @@ def check_condition(inst: CongruenceInstance, cap: int = DEFAULT_SUBSET_CAP) -> 
     bits = max(cap, 0)
     budget = 1 << bits
     # 1 << min(k, bits) gives the same minimum as 2**k without building 2**k
-    pairs = factorize_bounded(n, min(1 << min(k, bits), budget // (k + 1)))
-    if pairs is None:
-        failing = _scan_failing_subset(inst.coeffs, n, cap)
-    else:
-        small = [p for p, _ in pairs if (k + 1) ** 2 * p <= budget]
-        witnesses = [_first_zero_sum_subset(inst.coeffs, p) for p in small]
-        failing = min(
-            (w for w in witnesses if w is not None), key=lambda w: (len(w), w), default=None
-        )
-        if len(small) < len(pairs):
-            failing = _scan_failing_subset(inst.coeffs, n, cap, failing)
+    pairs, rest = factor_partially(n, min(1 << min(k, bits), budget // (k + 1)))
+    small = [p for p, _ in pairs if (k + 1) ** 2 * p <= budget]
+    witnesses = [_first_zero_sum_subset(inst.coeffs, p) for p in small]
+    failing = min(
+        (w for w in witnesses if w is not None), key=lambda w: (len(w), w), default=None
+    )
+    if len(small) < len(pairs) or rest > 1:
+        failing = _scan_failing_subset(inst.coeffs, n, cap, failing)
     return ConditionReport(failing is None, failing, ell, divides_b)
 
 

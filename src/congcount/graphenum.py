@@ -7,6 +7,14 @@ connected iff that component is not smaller than the whole vertex set, and a
 c-component graph is a connected vertex-1 component glued to any
 (c-1)-component graph on the remaining vertices.
 
+Each g'(., k) and each g(c, ., k) is built as a row, a list indexed by the
+edge count e from 0 to its largest nonzero entry (C(k, 2) for g', C(k-c+1, 2)
+for g).  Choosing which edges go among the vertices outside the vertex-1
+component is a Pascal row C(m, .), m = C(k-j, 2), so both recurrences are sums
+of row convolutions, and a convolution walks only the nonzero stretch of each
+row.  The rows are then unpacked into the dicts of GraphCountTable, keyed
+(e, k) and (c, e, k) and inserted in (k, e) and (k, c, e) order.
+
 The alternating sums over these tables reduce to coefficient extractions from
 log(1+z) and (1+z)**n; they are recomputed from the tables here so tests can
 compare the two routes independently.
@@ -22,7 +30,8 @@ DEFAULT_KMAX_CAP = 30
 class GraphCountTable:
     """Immutable lookup table of g'(e, k) and, optionally, g(c, e, k).
 
-    Only nonzero entries are stored; accessors return 0 elsewhere.
+    Only nonzero entries are stored, inserted in (k, e) and (k, c, e) order;
+    accessors return 0 elsewhere.
     """
 
     k_max: int
@@ -78,61 +87,108 @@ def _check_kmax(k_max: int, cap: int):
         raise ValueError(f"k_max = {k_max} outside allowed range 1..{cap}")
 
 
-def _build_gprime(k_max: int) -> dict[tuple[int, int], int]:
-    # g'(e, k) = C(C(k,2), e) minus graphs whose vertex-1 component has j < k
-    # vertices: choose its other j-1 vertices, a connected graph on them, and
-    # anything at all on the remaining k-j vertices.
-    gp: dict[tuple[int, int], int] = {}
-    for k in range(1, k_max + 1):
-        max_e = comb(k, 2)
-        for e in range(max_e + 1):
-            total = comb(max_e, e)
-            for j in range(1, k):
-                choose = comb(k - 1, j - 1)
-                rest_pairs = comb(k - j, 2)
-                for e1 in range(max(0, e - rest_pairs), min(e, comb(j, 2)) + 1):
-                    cnt = gp.get((e1, j), 0)
-                    if cnt:
-                        total -= choose * cnt * comb(rest_pairs, e - e1)
-            if total:
-                gp[(e, k)] = total
-    return gp
+def _convolve_into(acc: list[int], left: list[int], right: list[int], scale: int) -> int:
+    """acc[e1 + e2] += scale * left[e1] * right[e2] over the nonzero entries of both rows.
+
+    Each row is nonzero from its first nonzero entry to its end, so the shorter
+    one is walked entry by entry and the other added as one slice.  Returns the
+    number of coefficient products formed.
+    """
+    lo_l = next(i for i, v in enumerate(left) if v)
+    lo_r = next(i for i, v in enumerate(right) if v)
+    if len(left) - lo_l > len(right) - lo_r:
+        left, right, lo_l, lo_r = right, left, lo_r, lo_l
+    seg = right[lo_r:]
+    width = len(seg)
+    for e1 in range(lo_l, len(left)):
+        v = scale * left[e1]
+        at = e1 + lo_r
+        acc[at:at + width] = [a + v * r for a, r in zip(acc[at:at + width], seg)]
+    return (len(left) - lo_l) * width
 
 
-def _build_g(k_max: int, gp: dict[tuple[int, int], int]) -> dict[tuple[int, int, int], int]:
-    # g(1, e, k) = g'(e, k); for c >= 2, pick the connected component of
-    # vertex 1 (j vertices, e1 edges) and recurse with c-1 components on the
-    # remaining k-j vertices.
-    g: dict[tuple[int, int, int], int] = {}
+def _gprime_rows(k_max: int, stats: dict) -> list[list[int]]:
+    # rows[k][e] = g'(e, k) = C(C(k,2), e) minus the graphs whose vertex-1
+    # component has j < k vertices: choose its other j-1 vertices, a connected
+    # graph on them, and anything at all on the remaining k-j vertices.  The
+    # last factor is the Pascal row of C(k-j, 2), so each j is one convolution.
+    pascal = {}
+    for j in range(k_max + 1):
+        m = comb(j, 2)
+        pascal[m] = [comb(m, e) for e in range(m + 1)]
+    rows = [[]]
     for k in range(1, k_max + 1):
-        for e in range(comb(k, 2) + 1):
-            cnt = gp.get((e, k), 0)
-            if cnt:
-                g[(1, e, k)] = cnt
+        acc = pascal[comb(k, 2)][:]
+        for j in range(1, k):
+            stats["row_products"] += _convolve_into(
+                acc, rows[j], pascal[comb(k - j, 2)], -comb(k - 1, j - 1)
+            )
+        rows.append(acc)
+    stats["gprime_row_products"] = stats["row_products"]
+    return rows
+
+
+def _g_rows(k_max: int, gp: list[list[int]], stats: dict) -> list[list[list[int]]]:
+    # rows[k][c][e] = g(c, e, k), rows[k][0] empty; g(1, e, k) = g'(e, k).  For c >= 2, pick the
+    # connected component of vertex 1 (j vertices) and convolve its g' row with
+    # the (c-1)-component row on the remaining k-j vertices.  Row (c, k) ends
+    # at e = C(k-c+1, 2), one component complete and the rest isolated.
+    rows = [[]]
+    for k in range(1, k_max + 1):
+        by_c = [[], gp[k]]
         for c in range(2, k + 1):
-            for e in range(comb(k, 2) + 1):
-                total = 0
-                for j in range(1, k - c + 2):
-                    choose = comb(k - 1, j - 1)
-                    for e1 in range(min(e, comb(j, 2)) + 1):
-                        left = gp.get((e1, j), 0)
-                        if left:
-                            right = g.get((c - 1, e - e1, k - j), 0)
-                            if right:
-                                total += choose * left * right
-                if total:
-                    g[(c, e, k)] = total
-    return g
+            acc = [0] * (comb(k - c + 1, 2) + 1)
+            for j in range(1, k - c + 2):
+                stats["row_products"] += _convolve_into(
+                    acc, gp[j], rows[k - j][c - 1], comb(k - 1, j - 1)
+                )
+            by_c.append(acc)
+        rows.append(by_c)
+    return rows
 
 
-def connected_counts(k_max: int, cap: int = DEFAULT_KMAX_CAP) -> GraphCountTable:
-    """Table of g'(e, k) for 1 <= k <= k_max (component counts left empty)."""
+def _gprime_dict(gp: list[list[int]]) -> dict[tuple[int, int], int]:
+    # rows[0] is empty, so keys run over k = 1..k_max in (k, e) order
+    return {(e, k): v for k, row in enumerate(gp) for e, v in enumerate(row) if v}
+
+
+def _start_stats(stats: dict | None) -> dict:
+    stats = {} if stats is None else stats
+    stats["row_products"] = stats["gprime_row_products"] = 0
+    return stats
+
+
+def connected_counts(
+    k_max: int, cap: int = DEFAULT_KMAX_CAP, stats: dict | None = None
+) -> GraphCountTable:
+    """Table of g'(e, k) for 1 <= k <= k_max (component counts left empty).
+
+    When a dict is passed as stats, the coefficient products of the row
+    convolutions are recorded under "row_products" (all of them, here the g'
+    recurrence) and "gprime_row_products" (the g' recurrence's share).
+    """
     _check_kmax(k_max, cap)
-    return GraphCountTable(k_max, _build_gprime(k_max))
+    gp = _gprime_rows(k_max, _start_stats(stats))
+    return GraphCountTable(k_max, _gprime_dict(gp))
 
 
-def component_counts(k_max: int, cap: int = DEFAULT_KMAX_CAP) -> GraphCountTable:
-    """Table of both g'(e, k) and g(c, e, k) for 1 <= k <= k_max."""
+def component_counts(
+    k_max: int, cap: int = DEFAULT_KMAX_CAP, stats: dict | None = None
+) -> GraphCountTable:
+    """Table of both g'(e, k) and g(c, e, k) for 1 <= k <= k_max.
+
+    stats, when given, is filled as in connected_counts; "row_products" then
+    also counts the component recurrence.
+    """
     _check_kmax(k_max, cap)
-    gp = _build_gprime(k_max)
-    return GraphCountTable(k_max, gp, _build_g(k_max, gp))
+    stats = _start_stats(stats)
+    gp = _gprime_rows(k_max, stats)
+    g = _g_rows(k_max, gp, stats)
+    g_dict = {
+        (c, e, k): v
+        for k, by_c in enumerate(g)
+        for c, row in enumerate(by_c)
+        for e, v in enumerate(row)
+        if v
+    }
+    return GraphCountTable(k_max, _gprime_dict(gp), g_dict)

@@ -7,7 +7,7 @@ compares two genuinely different routes.
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
 
 def count_components(k, edges):
@@ -49,6 +49,60 @@ def edge_subset_graph_counts(k):
         if c == 1:
             gprime[e] = gprime.get(e, 0) + 1
     return gprime, g
+
+
+def reference_graph_tables(k_max):
+    """(gprime, g) dicts of g'(e, k) and g(c, e, k), 1 <= k <= k_max, nonzero entries only.
+
+    The dict recurrence on the component of vertex 1, one entry at a time:
+    g'(e, k) is C(C(k,2), e) minus the graphs whose vertex-1 component has
+    j < k vertices (its other j-1 vertices chosen, connected on them, anything
+    on the rest); g(c, e, k) glues that component to a (c-1)-component graph
+    on the rest.  Keys are inserted in (k, e) and (k, c, e) order.
+    """
+    gp = {}
+    for k in range(1, k_max + 1):
+        max_e = comb(k, 2)
+        for e in range(max_e + 1):
+            total = comb(max_e, e)
+            for j in range(1, k):
+                rest_pairs = comb(k - j, 2)
+                for e1 in range(max(0, e - rest_pairs), min(e, comb(j, 2)) + 1):
+                    total -= comb(k - 1, j - 1) * gp.get((e1, j), 0) * comb(rest_pairs, e - e1)
+            if total:
+                gp[(e, k)] = total
+    g = {}
+    for k in range(1, k_max + 1):
+        for e in range(comb(k, 2) + 1):
+            if gp.get((e, k), 0):
+                g[(1, e, k)] = gp[(e, k)]
+        for c in range(2, k + 1):
+            for e in range(comb(k, 2) + 1):
+                total = 0
+                for j in range(1, k - c + 2):
+                    for e1 in range(min(e, comb(j, 2)) + 1):
+                        total += (
+                            comb(k - 1, j - 1)
+                            * gp.get((e1, j), 0)
+                            * g.get((c - 1, e - e1, k - j), 0)
+                        )
+                if total:
+                    g[(c, e, k)] = total
+    return gp, g
+
+
+def connected_graph_totals(k_max):
+    """Connected labeled graphs on k vertices, all edge counts together, k = 0..k_max.
+
+    2**C(k,2) minus the graphs whose vertex-1 component has j < k vertices.
+    """
+    totals = [1]
+    for k in range(1, k_max + 1):
+        totals.append(
+            2 ** comb(k, 2)
+            - sum(comb(k - 1, j - 1) * totals[j] * 2 ** comb(k - j, 2) for j in range(1, k))
+        )
+    return totals
 
 
 def brute_distinct_count(coeffs, b, n):

@@ -1,5 +1,5 @@
 from itertools import product
-from math import factorial, gcd
+from math import factorial, gcd, prod
 
 import pytest
 
@@ -45,6 +45,17 @@ def test_factorize_bounded_counts_candidate_divisors():
     assert arith.factorize_bounded(1, 0) == []
     for n in range(1, 2000):
         assert arith.factorize_bounded(n, n) == arith.factorize(n)
+
+
+def test_factor_partially_keeps_what_it_found():
+    # 8 candidates (2, 3, 5, ..., 15) find 2**2 and 3; 17**2 <= 1517 = 37 * 41 stays
+    assert arith.factor_partially(12 * 37 * 41, 8) == ([(2, 2), (3, 1)], 37 * 41)
+    assert arith.factor_partially(12 * 37 * 41, 19) == ([(2, 2), (3, 1), (37, 1), (41, 1)], 1)
+    assert arith.factor_partially(37 * 41, 0) == ([], 37 * 41)
+    for n in range(1, 2000):
+        pairs, rest = arith.factor_partially(n, 5)
+        assert prod(p**e for p, e in pairs) * rest == n
+        assert (pairs, rest) == (arith.factorize(n), 1) or rest > 1
 
 
 def test_factorize_rejects_nonpositive():

@@ -2,13 +2,15 @@ import json
 import os
 import subprocess
 import sys
-from math import perm
+import time
+from math import comb, perm
 from pathlib import Path
 
 import pytest
 
 import congcount
 from congcount import cli, congruence
+from support import connected_graph_totals, reference_graph_tables
 
 
 def run_cli(capsys, argv):
@@ -154,6 +156,44 @@ def test_graph_table_json_document(capsys):
             {"e": 1, "k": 2, "count": "1"},
         ],
     }
+
+
+def test_graph_table_rows_equal_reference(capsys):
+    gp, g = reference_graph_tables(6)
+    for k_max in range(1, 7):
+        for connected in (True, False):
+            if connected:
+                rows = [{"e": e, "k": k, "count": str(v)} for (e, k), v in gp.items() if k <= k_max]
+            else:
+                rows = [
+                    {"c": c, "e": e, "k": k, "count": str(v)}
+                    for (c, e, k), v in g.items()
+                    if k <= k_max
+                ]
+            argv = ["graph-table", "--kmax", str(k_max)] + ["--connected"] * connected
+            code, out, err = run_cli(capsys, argv)
+            assert (code, err) == (0, "")
+            assert out == "".join(json.dumps(row) + "\n" for row in rows)
+            code, out, err = run_cli(capsys, argv + ["--json", "--no-timing"])
+            assert (code, err) == (0, "")
+            doc = {"inputs": {"k_max": k_max, "connected": connected}, "rows": rows}
+            assert out == json.dumps(doc) + "\n"
+
+
+def test_graph_table_at_the_cap_finishes(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["graph-table", "--kmax", "30", "--json", "--no-timing"])
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    assert elapsed < 10, f"graph-table --kmax 30 took {elapsed:.1f} s"
+    all_graphs = [0] * 31
+    connected = [0] * 31
+    for row in json.loads(out)["rows"]:
+        all_graphs[row["k"]] += int(row["count"])
+        if row["c"] == 1:
+            connected[row["k"]] += int(row["count"])
+    assert all_graphs[1:] == [2 ** comb(k, 2) for k in range(1, 31)]
+    assert connected[1:] == connected_graph_totals(30)[1:]
 
 
 def test_series_output(capsys):
@@ -305,4 +345,12 @@ def test_check_small_prime_witness_spares_the_large_prime_scan(capsys):
     # whose witness {1} leaves no earlier subset for the large prime's scan
     twos = ",".join(["2"] * 25)
     code, out, err = run_cli(capsys, ["check", "--n", "2000000014", "--coeffs", twos])
+    assert (code, out, err) == (0, "holds: false\nfailing_subset: {1}\nfull_sum_gcd: 2\n", "")
+
+
+def test_check_small_prime_witness_survives_an_unfactored_cofactor(capsys):
+    # 2000000032000000126 = 2 * 1000000007 * 1000000009: trial division finds
+    # 2 but not the two large primes; the DP for 2 still finds {1}
+    twos = ",".join(["2"] * 25)
+    code, out, err = run_cli(capsys, ["check", "--n", "2000000032000000126", "--coeffs", twos])
     assert (code, out, err) == (0, "holds: false\nfailing_subset: {1}\nfull_sum_gcd: 2\n", "")

@@ -217,6 +217,45 @@ def test_check_condition_scans_only_before_dp_witness():
             assert _report_tuple(rep) == reference_condition(tuple(coeffs), b, n), (coeffs, n)
 
 
+def test_check_condition_runs_the_dp_for_primes_found_before_an_unfactored_cofactor(
+    monkeypatch,
+):
+    # n = s * q * r with q, r primes above every trial divisor, so trial
+    # division finds the primes of s and leaves q * r; those primes still get
+    # the residue DP, and the scan stops at its witness
+    dp_primes, scans = [], []
+    first_zero_sum, scan = congruence._first_zero_sum_subset, congruence._scan_failing_subset
+
+    def recording_dp(coeffs, p):
+        dp_primes.append(p)
+        return first_zero_sum(coeffs, p)
+
+    def recording_scan(coeffs, n, cap, before=None):
+        scans.append(before)
+        return scan(coeffs, n, cap, before)
+
+    monkeypatch.setattr(congruence, "_first_zero_sum_subset", recording_dp)
+    monkeypatch.setattr(congruence, "_scan_failing_subset", recording_scan)
+    rng = random.Random(5)
+    for k in range(2, 10):
+        # 2**k candidates reach no further than 2**(k+1) + 1
+        lo, hi = 2 ** (k + 2), 2 ** (k + 3)
+        for _ in range(30):
+            q, r = _random_prime(rng, lo, hi), _random_prime(rng, lo, hi)
+            s = rng.choice((1, 2, 3, 5, 6, 7, 10, 12, 30))
+            n = s * q * r
+            coeffs = [rng.choice((rng.randrange(n), 1, 2, 3, q, q * r)) for _ in range(k)]
+            b = rng.randrange(n)
+            dp_primes.clear()
+            scans.clear()
+            rep = check_condition(CongruenceInstance(coeffs, b, n))
+            assert _report_tuple(rep) == reference_condition(tuple(coeffs), b, n), (coeffs, n)
+            assert dp_primes == [p for p, _ in factorize(s)], (coeffs, n)
+            witnesses = [first_zero_sum(coeffs, p) for p in dp_primes]
+            found = [w for w in witnesses if w is not None]
+            assert scans == [min(found, key=lambda w: (len(w), w), default=None)], (coeffs, n)
+
+
 def test_formula_examples():
     assert distinct_count_formula(CongruenceInstance((1, 1, 3), 0, 5)) == 20
     assert distinct_count_formula(CongruenceInstance((1, 1, 3), 1, 5)) == 10

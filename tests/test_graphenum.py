@@ -1,15 +1,75 @@
+from collections import Counter
 from math import comb, factorial
 
 import pytest
 
 from congcount import graphenum, series
 from congcount.series import SeriesPoly
-from support import edge_subset_graph_counts
+from support import edge_subset_graph_counts, reference_graph_tables
 
 
 @pytest.fixture(scope="module")
 def table12():
     return graphenum.component_counts(12)
+
+
+@pytest.fixture(scope="module")
+def reference14():
+    return reference_graph_tables(14)
+
+
+def _up_to(table, k_max):
+    # keys end in k and are inserted k by k, so a smaller table is a prefix
+    return [(key, v) for key, v in table.items() if key[-1] <= k_max]
+
+
+def test_connected_rows_equal_reference_dicts_in_order(reference14):
+    gp, _ = reference14
+    for k_max in range(1, 15):
+        table = graphenum.connected_counts(k_max)
+        assert list(table.gprime.items()) == _up_to(gp, k_max), k_max
+        assert table.g == {}
+
+
+def test_component_rows_equal_reference_dicts_in_order(reference14):
+    gp, g = reference14
+    for k_max in range(1, 13):
+        table = graphenum.component_counts(k_max)
+        assert list(table.gprime.items()) == _up_to(gp, k_max), k_max
+        assert list(table.g.items()) == _up_to(g, k_max), k_max
+
+
+def test_row_products_counted(reference14):
+    # K = 4, g' rows: k = 2 convolves [1] with [1] (1 product); k = 3 adds 2 + 1;
+    # k = 4 adds 4 + 2 + 2 (the Pascal rows of C(3,2), C(2,2), C(1,2) against
+    # the nonzero g' entries of j = 1, 2, 3 vertices)
+    stats = {}
+    graphenum.connected_counts(4, stats=stats)
+    assert stats == {"row_products": 12, "gprime_row_products": 12}
+    stats = {}
+    graphenum.component_counts(4, stats=stats)
+    assert stats == {"row_products": 24, "gprime_row_products": 12}
+    # in general each convolution multiplies every nonzero entry of one row
+    # by every nonzero entry of the other; the Pascal rows have no zeros
+    gp, g = reference14
+    gp_width = Counter(k for _, k in gp)
+    g_width = Counter((c, k) for c, _, k in g)
+    for k_max in (1, 6, 11):
+        connected, components = {}, {}
+        graphenum.connected_counts(k_max, stats=connected)
+        graphenum.component_counts(k_max, stats=components)
+        gprime_products = sum(
+            gp_width[j] * (comb(k - j, 2) + 1) for k in range(1, k_max + 1) for j in range(1, k)
+        )
+        g_products = sum(
+            gp_width[j] * g_width[(c - 1, k - j)]
+            for k in range(1, k_max + 1)
+            for c in range(2, k + 1)
+            for j in range(1, k - c + 2)
+        )
+        assert connected["row_products"] == connected["gprime_row_products"] == gprime_products
+        assert components["gprime_row_products"] == connected["row_products"]
+        assert components["row_products"] == gprime_products + g_products
 
 
 def test_tables_match_exhaustive_enumeration_up_to_k5(table12):
