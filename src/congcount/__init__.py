@@ -16,6 +16,7 @@ from .congruence import (
     METHODS,
     CongruenceInstance,
     ConditionReport,
+    auto_count,
     check_condition,
     distinct_count,
     distinct_count_formula,
@@ -58,6 +59,7 @@ __all__ = [
     "ResourceLimitError",
     "SeriesPoly",
     "all_pairs",
+    "auto_count",
     "binomial",
     "bivar_log",
     "bivar_mul",

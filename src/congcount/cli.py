@@ -17,16 +17,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from time import perf_counter
 
-from .congruence import (
-    METHODS,
-    CongruenceInstance,
-    check_condition,
-    distinct_count,
-    distinct_count_formula,
-)
+from .congruence import METHODS, CongruenceInstance, auto_count, check_condition, distinct_count
 from .errors import HypothesisError, ResourceLimitError
 from .graphenum import component_counts, connected_counts
-from .oracle import brute_force_distinct, iep_edge_subsets, iep_partitions
 from .series import deformed_exp_truncated
 
 
@@ -69,18 +62,10 @@ def _echo(inst: CongruenceInstance, with_b=True) -> dict:
 
 def _run_count(args) -> _Result:
     inst = _instance(args)
-    method = args.method
-    if method is None and inst.k > inst.n:
-        # Z_n has no k distinct residues
-        value, method = 0, "pigeonhole"
-    elif method is None:
-        try:
-            value, method = distinct_count_formula(inst), "formula"
-        except HypothesisError:
-            method = "iep-partitions"
-            value = distinct_count(inst, method)
+    if args.method is None:
+        value, method = auto_count(inst)
     else:
-        value = distinct_count(inst, method)
+        value, method = distinct_count(inst, args.method), args.method
     return _Result(
         human=[str(value)],
         doc={"inputs": _echo(inst), "method": method, "count": str(value)},
@@ -111,35 +96,26 @@ def _run_compare(args) -> _Result:
     inst = _instance(args)
     results: dict[str, int] = {}
     skipped: dict[str, str] = {}
-    try:
-        results["formula"] = distinct_count_formula(inst)
-    except HypothesisError:
-        skipped["formula"] = "hypothesis fails"
-    except ResourceLimitError:
-        skipped["formula"] = "subset cap exceeded"
-    for name, fn in (
-        ("iep-edges", iep_edge_subsets),
-        ("iep-partitions", iep_partitions),
-        ("brute", brute_force_distinct),
-    ):
-        try:
-            results[name] = fn(inst)
-        except ResourceLimitError:
-            skipped[name] = "resource cap exceeded"
-    agree = len(set(results.values())) <= 1
-    human = []
     for name in METHODS:
-        if name in results:
-            human.append(f"{name:<14}  {results[name]}")
-        else:
-            human.append(f"{name:<14}  skipped ({skipped[name]})")
+        try:
+            results[name] = distinct_count(inst, name)
+        except HypothesisError:
+            skipped[name] = "hypothesis fails"
+        except ResourceLimitError:
+            # the formula's only refusal is its subset scan
+            skipped[name] = "subset cap exceeded" if name == "formula" else "resource cap exceeded"
+    agree = len(set(results.values())) <= 1
+    human = [
+        f"{name:<14}  " + (str(results[name]) if name in results else f"skipped ({skipped[name]})")
+        for name in METHODS
+    ]
     human.append(f"agreement: {'yes' if agree else 'no'}")
     return _Result(
         human=human,
         doc={
             "inputs": _echo(inst),
-            "results": {m: str(results[m]) for m in METHODS if m in results},
-            "skipped": {m: skipped[m] for m in METHODS if m in skipped},
+            "results": {m: str(v) for m, v in results.items()},
+            "skipped": skipped,
             "agree": agree,
         },
         errors=[] if agree else ["error: disagreement: oracle methods returned differing counts"],
@@ -192,7 +168,7 @@ def _build_parser() -> _Parser:
         choices=METHODS,
         default=None,
         help="default: 0 by pigeonhole when k > n, else formula when the subset-sum gcd "
-        "condition holds, else iep-partitions",
+        "condition holds, else iep-partitions (also when the condition check is over budget)",
     )
     p.set_defaults(handler=_run_count)
 

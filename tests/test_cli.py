@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import congcount
-from congcount import cli, congruence
+from congcount import cli, congruence, oracle
 from support import connected_graph_totals, reference_graph_tables
 
 
@@ -117,11 +117,30 @@ def test_oracle_compare_skips_formula_when_condition_fails(capsys):
 
 
 def test_oracle_compare_disagreement_exits_one(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "brute_force_distinct", lambda inst: 999)
+    # patched where it is defined: the method dispatch looks counters up when called
+    monkeypatch.setattr(oracle, "brute_force_distinct", lambda inst: 999)
     code, out, err = run_cli(capsys, ["oracle-compare", "--n", "5", "--b", "0", "--coeffs", "1,1,3"])
     assert code == 1
     assert out.endswith("agreement: no\n")
     assert err == "error: disagreement: oracle methods returned differing counts\n"
+
+
+def test_oracle_compare_skip_reasons_when_only_partitions_fit(capsys):
+    # k = 30 mod the prime 100003: the formula's subset scan, the edge subsets
+    # and the tuple enumeration are all past their caps; L = gcd(465, 100003)
+    # = 1, so iep-partitions runs no DP
+    coeffs = ",".join(map(str, range(1, 31)))
+    argv = ["oracle-compare", "--n", "100003", "--b", "0", "--coeffs", coeffs, "--json", "--no-timing"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["skipped"] == {
+        "formula": "subset cap exceeded",
+        "iep-edges": "resource cap exceeded",
+        "brute": "resource cap exceeded",
+    }
+    assert list(doc["results"]) == ["iep-partitions"]
+    assert doc["agree"] is True
 
 
 def test_graph_table_connected(capsys):
@@ -251,13 +270,19 @@ def test_resource_error_exits_four(capsys):
     assert "10000000000" in err
     assert err.count("\n") == 1
     # 25 coefficients: a prime modulus too large for the residue DP leaves the
-    # 2**25 subset scan, past the cap
+    # 2**25 subset scan, past the cap, so the forced closed form is refused
     ones = ",".join(["1"] * 25)
-    code, _, err = run_cli(capsys, ["count", "--n", "1000000007", "--b", "0", "--coeffs", ones])
+    argv = ["count", "--n", "1000000007", "--b", "0", "--coeffs", ones]
+    code, _, err = run_cli(capsys, argv + ["--method", "formula"])
     assert code == 4
     assert err.startswith("error: resource: ")
     assert "24" in err
     assert err.count("\n") == 1
+    # auto mode counts it by the partition oracle instead; the condition does
+    # hold (every proper subset sums to 1..24, a unit), and the count is the
+    # closed form's, 1000000006 * ... * 999999983
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (0, f"{perm(1000000006, 24)}\n", "method: iep-partitions\n")
     # mod 101 the DP answers inside the budget: l = 1 divides b, so the
     # count is 100 * 99 * ... * 77
     code, out, err = run_cli(capsys, ["count", "--n", "101", "--b", "0", "--coeffs", ones])
@@ -310,6 +335,17 @@ def test_auto_count_scans_condition_once(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["count", "--n", "5", "--b", "0", "--coeffs", "1,1,3"])
     assert (code, out, err) == (0, "20\n", "method: formula\n")
     assert len(calls) == 1
+
+
+def test_count_auto_falls_back_when_condition_check_is_over_budget(capsys):
+    # k = 30 mod the prime 100003: the condition's subset scan would need
+    # 2**30 - 2 gcd checks, while iep-partitions has L = gcd(465, 100003) = 1
+    coeffs = ",".join(map(str, range(1, 31)))
+    argv = ["count", "--n", "100003", "--b", "0", "--coeffs", coeffs]
+    _, expected, _ = run_cli(capsys, argv + ["--method", "iep-partitions"])
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (0, expected, "method: iep-partitions\n")
+    assert int(out) > 0
 
 
 def test_auto_count_is_zero_when_k_exceeds_n(capsys):

@@ -1,6 +1,6 @@
 import random
 from itertools import permutations, product
-from math import gcd
+from math import gcd, perm
 
 import pytest
 
@@ -8,6 +8,7 @@ from congcount import congruence
 from congcount.arith import factorize, falling_factorial
 from congcount.congruence import (
     CongruenceInstance,
+    auto_count,
     check_condition,
     distinct_count,
     distinct_count_formula,
@@ -410,3 +411,19 @@ def test_distinct_count_dispatch():
     assert distinct_count(CongruenceInstance((2, 2), 0, 4), "brute") == 4
     with pytest.raises(ValueError):
         distinct_count(inst, "magic")
+
+
+def test_auto_count_routes():
+    assert auto_count(CongruenceInstance((1,) * 6, 0, 5)) == (0, "pigeonhole")
+    assert auto_count(CongruenceInstance((1, 1, 3), 0, 5)) == (20, "formula")
+    # (2, 2) mod 4: the singleton {1} sums to 2, a non-unit
+    inst = CongruenceInstance((2, 2), 0, 4)
+    with pytest.raises(HypothesisError):
+        distinct_count_formula(inst)
+    assert auto_count(inst) == (4, "iep-partitions")
+    # 25 ones mod the prime 1000000007: too large for the residue DP, and the
+    # 2**25 - 2 subset scan is past the default cap
+    inst = CongruenceInstance((1,) * 25, 0, 1000000007)
+    with pytest.raises(ResourceLimitError):
+        distinct_count_formula(inst)
+    assert auto_count(inst) == (perm(1000000006, 24), "iep-partitions")
