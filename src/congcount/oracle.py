@@ -2,12 +2,17 @@
 
 Three independent routes, all exact:
 
-* brute_force_distinct -- enumerate the distinct tuples directly.
+* brute_force_distinct -- enumerate the distinct tuples directly: the first
+                          k-1 coordinates by permutation, the last one by a
+                          per-residue bitmask of its admissible values.
 * iep_edge_subsets     -- inclusion-exclusion over all subsets of the C(k,2)
                           possible coordinate equalities: each subset forces
                           its pairs equal, merging coefficients along the
                           connected components of the pattern graph, and the
-                          merged congruence is counted by lehmer_count.
+                          merged congruence is counted by lehmer_count.  The
+                          subsets are walked once per k and grouped by
+                          component partition, so each call counts one merged
+                          congruence per partition.
 * iep_partitions       -- the same sum compressed over set partitions: every
                           edge subset inducing the same component partition
                           contributes the same merged count, and the signs
@@ -22,6 +27,7 @@ None of these require anything of the coefficients, so together they cover
 instances the closed form refuses.
 """
 
+import functools
 import itertools
 import math
 from operator import mul
@@ -95,12 +101,18 @@ def pattern_count(inst: CongruenceInstance, pattern: EqualityPattern) -> int:
     return lehmer_count(CongruenceInstance(merged, inst.b, inst.n))
 
 
-def iep_edge_subsets(inst: CongruenceInstance) -> int:
+def iep_edge_subsets(inst: CongruenceInstance, stats: dict | None = None) -> int:
     """Inclusion-exclusion over every subset of possible coordinate equalities.
 
     sum over S of (-1)**|S| * pattern_count(inst, S), S ranging over all
-    2**C(k,2) subsets of index pairs.  Exact for arbitrary coefficients, but
-    doubly exponential, hence the small cap on k.
+    2**C(k,2) subsets of index pairs.  Subsets with the same component
+    partition have the same merged count, so the sum is taken as one merged
+    lehmer_count per partition, times the signed number of subsets that
+    induce it (_edge_subset_signs, walked once per k).  Exact for arbitrary
+    coefficients, but the walk is doubly exponential, hence the small cap on
+    k.  When a dict is passed as stats, the subsets walked for this k are
+    recorded under "edge_subsets" and the merged Lehmer counts under
+    "partitions".
     """
     k = inst.k
     if k > EDGE_SUBSET_MAX_K:
@@ -108,13 +120,45 @@ def iep_edge_subsets(inst: CongruenceInstance) -> int:
             f"2**C({k},2) edge subsets is too many; cap is k <= {EDGE_SUBSET_MAX_K}, "
             "iep_partitions counts larger k"
         )
-    pairs = all_pairs(k)
+    signs = _edge_subset_signs(k)
+    coeffs, b, n = inst.coeffs, inst.b, inst.n
     total = 0
-    for size in range(len(pairs) + 1):
-        sign = (-1) ** size
-        for subset in itertools.combinations(pairs, size):
-            total += sign * pattern_count(inst, subset)
+    for blocks, signed in signs:
+        merged = tuple(sum(coeffs[i - 1] for i in block) for block in blocks)
+        total += signed * lehmer_count(CongruenceInstance(merged, b, n))
+    if stats is not None:
+        stats["edge_subsets"] = 2 ** math.comb(k, 2)
+        stats["partitions"] = len(signs)
     return total
+
+
+@functools.cache
+def _edge_subset_signs(k: int) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
+    """(partition, sum of (-1)**|S|) over the edge subsets S inducing it.
+
+    Subsets are bitmasks over all_pairs(k).  A mask's component labels (each
+    vertex labelled by the smallest vertex of its component) come from the
+    mask without its top edge, already computed, plus one merge.  Partitions
+    are in pattern_components' canonical form.
+    """
+    pairs = all_pairs(k)
+    labels = [tuple(range(1, k + 1))]
+    signed: dict[tuple[int, ...], int] = {labels[0]: 1}
+    for mask in range(1, 1 << len(pairs)):
+        top = mask.bit_length() - 1
+        base = labels[mask ^ (1 << top)]
+        u, v = pairs[top]
+        keep, drop = sorted((base[u - 1], base[v - 1]))
+        merged = tuple(keep if x == drop else x for x in base)
+        labels.append(merged)
+        signed[merged] = signed.get(merged, 0) + (-1) ** mask.bit_count()
+    out = []
+    for merged, count in signed.items():
+        blocks: dict[int, list[int]] = {}
+        for vertex, label in enumerate(merged, 1):
+            blocks.setdefault(label, []).append(vertex)
+        out.append((tuple(tuple(blocks[low]) for low in sorted(blocks)), count))
+    return tuple(out)
 
 
 def iep_partitions(inst: CongruenceInstance, stats: dict | None = None) -> int:
@@ -238,32 +282,35 @@ def brute_force_distinct(
 ) -> int:
     """Count distinct-coordinate solutions by direct enumeration.
 
-    Tuples are visited in lexicographic order with repeated coordinates
-    pruned, i.e. exactly the n(n-1)...(n-k+1) injective tuples are evaluated,
-    never more than n**k.  k > n short-circuits to 0 without enumerating.
-    When a dict is passed as stats, the number of evaluated tuples is
-    recorded under "tuples_evaluated".
+    The injective (k-1)-prefixes are visited in lexicographic order.  For
+    each, the last coordinate must satisfy ak * x = b - (prefix sum) mod n and
+    differ from the prefix: a bitmask of the x with each residue of ak * x,
+    built once per call, minus the prefix's bits gives the count of those x.
+    So each of the n(n-1)...(n-k+1) injective tuples is decided, never more
+    than n**k.  k > n short-circuits to 0 without enumerating.  When a dict
+    is passed as stats, the decided tuples are recorded under
+    "tuples_evaluated" and the prefixes visited under "prefixes".
     """
     k, n, b = inst.k, inst.n, inst.b
     if k > n:
         if stats is not None:
-            stats["tuples_evaluated"] = 0
+            stats["tuples_evaluated"] = stats["prefixes"] = 0
         return 0
     if n ** k > budget:
         raise ResourceLimitError(
             f"n**k = {n ** k} exceeds the enumeration budget {budget}"
         )
-    coeffs = inst.coeffs
-    total = 0
-    if stats is None:
-        for xs in itertools.permutations(range(n), k):
-            if sum(map(mul, coeffs, xs)) % n == b:
-                total += 1
-    else:
-        evaluated = 0
-        for xs in itertools.permutations(range(n), k):
-            evaluated += 1
-            if sum(map(mul, coeffs, xs)) % n == b:
-                total += 1
-        stats["tuples_evaluated"] = evaluated
+    *head, last = inst.coeffs
+    bit = [1 << x for x in range(n)]
+    by_residue = [0] * n
+    for x in range(n):
+        by_residue[last * x % n] |= bit[x]
+    total = prefixes = 0
+    for xs in itertools.permutations(range(n), k - 1):
+        prefixes += 1
+        used = sum(map(bit.__getitem__, xs))  # the xs are distinct, so + is |
+        total += (by_residue[(b - sum(map(mul, head, xs))) % n] & ~used).bit_count()
+    if stats is not None:
+        stats["prefixes"] = prefixes
+        stats["tuples_evaluated"] = prefixes * (n - k + 1)
     return total

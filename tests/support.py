@@ -10,26 +10,31 @@ from itertools import combinations, product
 from math import comb, factorial, gcd
 
 
-def count_components(k, edges):
-    """Connected components of the graph on vertices 1..k via depth-first search."""
+def component_blocks(k, edges):
+    """Connected components of the graph on vertices 1..k via depth-first search.
+
+    Blocks are sorted internally and ordered by smallest element.
+    """
     adj = {v: [] for v in range(1, k + 1)}
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
     seen = set()
-    comps = 0
+    blocks = []
     for start in range(1, k + 1):
         if start in seen:
             continue
-        comps += 1
+        block = []
         stack = [start]
         while stack:
             v = stack.pop()
             if v in seen:
                 continue
             seen.add(v)
+            block.append(v)
             stack.extend(w for w in adj[v] if w not in seen)
-    return comps
+        blocks.append(tuple(sorted(block)))
+    return tuple(blocks)
 
 
 def edge_subset_graph_counts(k):
@@ -43,7 +48,7 @@ def edge_subset_graph_counts(k):
     g = {}
     for mask in range(1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        c = count_components(k, edges)
+        c = len(component_blocks(k, edges))
         e = len(edges)
         g[(c, e)] = g.get((c, e), 0) + 1
         if c == 1:

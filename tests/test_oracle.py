@@ -15,7 +15,12 @@ from congcount.oracle import (
     pattern_components,
     pattern_count,
 )
-from support import brute_distinct_count, index_partitions, reference_iep_partitions
+from support import (
+    brute_distinct_count,
+    component_blocks,
+    index_partitions,
+    reference_iep_partitions,
+)
 
 
 def test_all_pairs():
@@ -65,8 +70,46 @@ def test_iep_edge_subsets_examples():
 
 
 def test_iep_edge_subsets_cap():
+    # the cap is checked before the per-k sign table is built or looked up
+    table = oracle._edge_subset_signs
+    before = table.cache_info()
     with pytest.raises(ResourceLimitError):
         iep_edge_subsets(CongruenceInstance((1,) * 6, 0, 7))
+    assert table.cache_info() == before
+    for k in range(1, oracle.EDGE_SUBSET_MAX_K + 1):
+        iep_edge_subsets(CongruenceInstance((1,) * k, 0, 7))
+    assert table.cache_info().currsize <= oracle.EDGE_SUBSET_MAX_K
+
+
+def test_iep_edge_subsets_one_lehmer_call_per_partition(monkeypatch):
+    calls = []
+
+    def counting(inst):
+        calls.append(inst)
+        return lehmer_count(inst)
+
+    monkeypatch.setattr(oracle, "lehmer_count", counting)
+    coeffs, b, n = (1, 2, 2, 4, 6), 3, 8
+    stats = {}
+    assert iep_edge_subsets(CongruenceInstance(coeffs, b, n), stats=stats) == (
+        brute_distinct_count(coeffs, b, n)
+    )
+    assert len(calls) <= 52  # Bell(5), against 2**10 edge subsets
+    assert stats == {"edge_subsets": 2**10, "partitions": len(calls)}
+
+
+def test_iep_edge_subsets_and_brute_force_match_reference_at_k5():
+    rng = random.Random("edge-subsets:5")
+    for n, _ in product(range(5, 10), range(2)):
+        coeffs = tuple(rng.randrange(n) for _ in range(5))
+        for b in range(n):
+            inst = CongruenceInstance(coeffs, b, n)
+            reference = brute_distinct_count(coeffs, b, n)
+            edge_stats, brute_stats = {}, {}
+            assert iep_edge_subsets(inst, stats=edge_stats) == reference, (coeffs, b, n)
+            assert brute_force_distinct(inst, stats=brute_stats) == reference, (coeffs, b, n)
+            assert edge_stats == {"edge_subsets": 2**10, "partitions": 52}
+            assert brute_stats == {"prefixes": perm(n, 4), "tuples_evaluated": perm(n, 5)}
 
 
 def test_index_partitions_bell_counts_and_canonical_form():
@@ -177,19 +220,25 @@ def test_iep_partitions_makes_no_lehmer_calls(monkeypatch):
 
 def test_partition_weights_compress_edge_subset_signs():
     # Grouping the 2**C(k,2) edge subsets by induced component partition and
-    # summing (-1)**|S| must reproduce prod (-1)**(|B|-1) (|B|-1)! per block.
-    for k in range(1, 5):
-        pairs = all_pairs(k)
+    # summing (-1)**|S| must give the cached sign table, and reproduce
+    # prod (-1)**(|B|-1) (|B|-1)! per block.
+    for k in range(1, oracle.EDGE_SUBSET_MAX_K + 1):
+        pairs = list(combinations(range(1, k + 1), 2))
         signed = {}
         for size in range(len(pairs) + 1):
             for subset in combinations(pairs, size):
-                blocks = pattern_components(k, subset)
+                blocks = component_blocks(k, subset)
                 signed[blocks] = signed.get(blocks, 0) + (-1) ** size
+        table = oracle._edge_subset_signs(k)
+        assert len(table) == len(dict(table))
+        assert dict(table) == signed
+        weights = {}
         for blocks in index_partitions(k):
             weight = 1
             for block in blocks:
                 weight *= (-1) ** (len(block) - 1) * factorial(len(block) - 1)
-            assert signed.get(blocks, 0) == weight
+            weights[blocks] = weight
+        assert signed == weights
 
 
 def test_brute_force_examples():
