@@ -3,8 +3,8 @@
 Three independent routes, all exact:
 
 * brute_force_distinct -- enumerate the distinct tuples directly: the first
-                          k-1 coordinates by permutation, the last one by a
-                          per-residue bitmask of its admissible values.
+                          k-1 coordinates by permutation, the last one from
+                          a per-residue count of its admissible values.
 * iep_edge_subsets     -- inclusion-exclusion over all subsets of the C(k,2)
                           possible coordinate equalities: each subset forces
                           its pairs equal, merging coefficients along the
@@ -136,29 +136,16 @@ def iep_edge_subsets(inst: CongruenceInstance, stats: dict | None = None) -> int
 def _edge_subset_signs(k: int) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
     """(partition, sum of (-1)**|S|) over the edge subsets S inducing it.
 
-    Subsets are bitmasks over all_pairs(k).  A mask's component labels (each
-    vertex labelled by the smallest vertex of its component) come from the
-    mask without its top edge, already computed, plus one merge.  Partitions
-    are in pattern_components' canonical form.
+    Every subset of all_pairs(k) is walked once; partitions are
+    pattern_components' canonical form.
     """
     pairs = all_pairs(k)
-    labels = [tuple(range(1, k + 1))]
-    signed: dict[tuple[int, ...], int] = {labels[0]: 1}
-    for mask in range(1, 1 << len(pairs)):
-        top = mask.bit_length() - 1
-        base = labels[mask ^ (1 << top)]
-        u, v = pairs[top]
-        keep, drop = sorted((base[u - 1], base[v - 1]))
-        merged = tuple(keep if x == drop else x for x in base)
-        labels.append(merged)
-        signed[merged] = signed.get(merged, 0) + (-1) ** mask.bit_count()
-    out = []
-    for merged, count in signed.items():
-        blocks: dict[int, list[int]] = {}
-        for vertex, label in enumerate(merged, 1):
-            blocks.setdefault(label, []).append(vertex)
-        out.append((tuple(tuple(blocks[low]) for low in sorted(blocks)), count))
-    return tuple(out)
+    signed: dict[tuple[tuple[int, ...], ...], int] = {}
+    for size in range(len(pairs) + 1):
+        for subset in itertools.combinations(pairs, size):
+            blocks = pattern_components(k, subset)
+            signed[blocks] = signed.get(blocks, 0) + (-1) ** size
+    return tuple(signed.items())
 
 
 def iep_partitions(inst: CongruenceInstance, stats: dict | None = None) -> int:
@@ -284,11 +271,13 @@ def brute_force_distinct(
 
     The injective (k-1)-prefixes are visited in lexicographic order.  For
     each, the last coordinate must satisfy ak * x = b - (prefix sum) mod n and
-    differ from the prefix: a bitmask of the x with each residue of ak * x,
-    built once per call, minus the prefix's bits gives the count of those x.
-    So each of the n(n-1)...(n-k+1) injective tuples is decided, never more
-    than n**k.  k > n short-circuits to 0 without enumerating.  When a dict
-    is passed as stats, the decided tuples are recorded under
+    differ from the prefix: the number of x with each residue of ak * x,
+    tabled once per call, minus the prefix entries with that residue is the
+    count of those x.  So each of the n(n-1)...(n-k+1) injective tuples is
+    decided, never more than n**k.  With k = 1 there is one empty prefix and
+    x is walked directly: n can then be as large as the budget, and no table
+    of n entries is built.  k > n short-circuits to 0 without enumerating.
+    When a dict is passed as stats, the decided tuples are recorded under
     "tuples_evaluated" and the prefixes visited under "prefixes".
     """
     k, n, b = inst.k, inst.n, inst.b
@@ -301,16 +290,18 @@ def brute_force_distinct(
             f"n**k = {n ** k} exceeds the enumeration budget {budget}"
         )
     *head, last = inst.coeffs
-    bit = [1 << x for x in range(n)]
-    by_residue = [0] * n
-    for x in range(n):
-        by_residue[last * x % n] |= bit[x]
-    total = prefixes = 0
-    for xs in itertools.permutations(range(n), k - 1):
-        prefixes += 1
-        used = sum(map(bit.__getitem__, xs))  # the xs are distinct, so + is |
-        total += (by_residue[(b - sum(map(mul, head, xs))) % n] & ~used).bit_count()
+    if head:
+        residue = [last * x % n for x in range(n)]
+        hits = [0] * n
+        for r in residue:
+            hits[r] += 1
+        total = 0
+        for xs in itertools.permutations(range(n), k - 1):
+            r = (b - sum(map(mul, head, xs))) % n
+            total += hits[r] - [residue[x] for x in xs].count(r)
+    else:
+        total = sum(last * x % n == b for x in range(n))
     if stats is not None:
-        stats["prefixes"] = prefixes
-        stats["tuples_evaluated"] = prefixes * (n - k + 1)
+        stats["prefixes"] = math.perm(n, k - 1)
+        stats["tuples_evaluated"] = math.perm(n, k)
     return total

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations, product
 from math import factorial, gcd, perm
 
@@ -260,6 +261,27 @@ def test_brute_force_budget_and_accounting():
     stats = {}
     assert brute_force_distinct(CongruenceInstance((1, 1, 1), 0, 2), budget=1, stats=stats) == 0
     assert stats["tuples_evaluated"] == 0
+
+
+def test_brute_force_single_coordinate_at_large_n():
+    # k = 1 lets n reach the whole budget; a*x = b (mod n) has gcd(a, n)
+    # solutions when the gcd divides b and none otherwise.
+    n = 10 ** 6
+    for a, b in ((3, 0), (250_000, 500_000), (250_000, 1), (0, 0)):
+        g = gcd(a, n)
+        stats = {}
+        assert brute_force_distinct(CongruenceInstance((a,), b, n), stats=stats) == (
+            g * (b % g == 0)
+        )
+        assert stats == {"prefixes": 1, "tuples_evaluated": n}
+    # and it needs no table of n entries
+    tracemalloc.start()
+    try:
+        brute_force_distinct(CongruenceInstance((7,), 3, 10 ** 5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_three_oracles_agree_small_grid():
