@@ -43,15 +43,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return factor_partially(n, math.isqrt(n))[0]
 
 
-def factorize_bounded(n: int, max_trials: int) -> list[tuple[int, int]] | None:
-    """factorize(n) by trying at most max_trials candidate divisors 2, 3, 5, 7, ...
-
-    Returns None when the budget runs out before n is fully factored.
-    """
-    pairs, rest = factor_partially(n, max_trials)
-    return pairs if rest == 1 else None
-
-
 def factor_partially(n: int, max_trials: int) -> tuple[list[tuple[int, int]], int]:
     """Trial division of n by at most max_trials candidate divisors 2, 3, 5, 7, ...
 

@@ -20,7 +20,7 @@ and p) finds the first zero-sum subset.  The DP runs for every prime that
 trial division finds within its budget and that fits the DP's table; when a
 prime is too large for it or a cofactor of n stays unfactored, subsets are
 scanned too, only those ordered before the DP primes' first witness if they
-found one; the cap argument bounds the work of both routes.
+found one; SUBSET_CAP bounds the work of both routes.
 distinct_count_formula refuses to answer when the condition fails, since no
 closed form is claimed in that regime (the oracle module still counts).
 
@@ -36,7 +36,7 @@ from fractions import Fraction
 from .arith import euler_phi, factor_partially, factorize, falling_factorial, is_prime
 from .errors import HypothesisError, ResourceLimitError
 
-DEFAULT_SUBSET_CAP = 24
+SUBSET_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -94,20 +94,21 @@ def lehmer_count(inst: CongruenceInstance) -> int:
     return ell * inst.n ** (inst.k - 1)
 
 
-def check_condition(inst: CongruenceInstance, cap: int = DEFAULT_SUBSET_CAP) -> ConditionReport:
+def check_condition(inst: CongruenceInstance) -> ConditionReport:
     """Decide whether every nonempty proper index subset sums to a unit mod n.
 
     A sum is a non-unit exactly when some prime p | n divides it, so each
     prime that trial division finds gets a subset-sum DP over residues mod p
     (see _first_zero_sum_subset); the primes it cannot reach are left to a
     subset scan.
-    cap bounds the work of either route: trial division tries at most
-    min(2**k, 2**cap // (k+1)) divisors, so it never does more steps than the
-    scan; the DP runs for each prime p found with (k+1)**2 * p <= 2**cap,
-    which bounds its table to 2**cap bits.  When a cofactor of n stays
-    unfactored, or some prime is too large for the DP, subsets are scanned:
-    only those before the first DP witness, if there is one, else all
-    2**k - 2; a scan of more than 2**cap subsets raises ResourceLimitError.
+    SUBSET_CAP, read when called, bounds the work of either route: trial
+    division tries at most min(2**k, 2**SUBSET_CAP // (k+1)) divisors, so it
+    never does more steps than the scan; the DP runs for each prime p found
+    with (k+1)**2 * p <= 2**SUBSET_CAP, which bounds its table to
+    2**SUBSET_CAP bits.  When a cofactor of n stays unfactored, or some prime
+    is too large for the DP, subsets are scanned: only those before the first
+    DP witness, if there is one, else all 2**k - 2; a scan of more than
+    2**SUBSET_CAP subsets raises ResourceLimitError.
 
     The reported failing subset is the first by size, then lexicographically,
     on either route.  For k = 1 the condition is vacuously true.
@@ -115,32 +116,31 @@ def check_condition(inst: CongruenceInstance, cap: int = DEFAULT_SUBSET_CAP) -> 
     k, n = inst.k, inst.n
     ell = math.gcd(sum(inst.coeffs), n)
     divides_b = inst.b % ell == 0
-    bits = max(cap, 0)
-    budget = 1 << bits
-    # 1 << min(k, bits) gives the same minimum as 2**k without building 2**k
-    pairs, rest = factor_partially(n, min(1 << min(k, bits), budget // (k + 1)))
+    budget = 1 << SUBSET_CAP
+    # 1 << min(k, SUBSET_CAP) gives the same minimum as 2**k without building 2**k
+    pairs, rest = factor_partially(n, min(1 << min(k, SUBSET_CAP), budget // (k + 1)))
     small = [p for p, _ in pairs if (k + 1) ** 2 * p <= budget]
     witnesses = [_first_zero_sum_subset(inst.coeffs, p) for p in small]
     failing = min(
         (w for w in witnesses if w is not None), key=lambda w: (len(w), w), default=None
     )
     if len(small) < len(pairs) or rest > 1:
-        failing = _scan_failing_subset(inst.coeffs, n, cap, failing)
+        failing = _scan_failing_subset(inst.coeffs, n, failing)
     return ConditionReport(failing is None, failing, ell, divides_b)
 
 
-def _scan_failing_subset(coeffs, n: int, cap: int, before=None) -> tuple[int, ...] | None:
+def _scan_failing_subset(coeffs, n: int, before=None) -> tuple[int, ...] | None:
     """First failing subset by walking the subsets by size, then lexicographically.
 
     Only the subsets ordered before `before` are walked, and `before` is
     returned when none of them fails; before=None walks all 2**k - 2.  More
-    than 2**cap subsets to walk, or a negative cap, raises ResourceLimitError.
+    than 2**SUBSET_CAP subsets to walk raises ResourceLimitError.
     """
     k = len(coeffs)
     todo = 2 ** k - 2 if before is None else _subset_rank(k, before)
-    if cap < 0 or todo > 1 << cap:
+    if todo > 1 << SUBSET_CAP:
         raise ResourceLimitError(
-            f"subset scan would need {todo} gcd checks; cap is 2**{cap}"
+            f"subset scan would need {todo} gcd checks; cap is 2**{SUBSET_CAP}"
         )
     subsets = itertools.chain.from_iterable(
         itertools.combinations(range(1, k + 1), size) for size in range(1, k)

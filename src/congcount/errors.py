@@ -2,7 +2,7 @@
 
 
 class ResourceLimitError(RuntimeError):
-    """An operation refused to run because it would exceed a configured cap."""
+    """An operation refused to run because its work would exceed a module-level cap constant."""
 
 
 class HypothesisError(ValueError):

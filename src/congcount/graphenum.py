@@ -23,7 +23,7 @@ compare the two routes independently.
 from dataclasses import dataclass, field
 from math import comb
 
-DEFAULT_KMAX_CAP = 30
+KMAX_CAP = 30
 
 
 @dataclass(frozen=True)
@@ -82,9 +82,9 @@ class GraphCountTable:
         return total
 
 
-def _check_kmax(k_max: int, cap: int):
-    if not 1 <= k_max <= cap:
-        raise ValueError(f"k_max = {k_max} outside allowed range 1..{cap}")
+def _check_kmax(k_max: int):
+    if not 1 <= k_max <= KMAX_CAP:
+        raise ValueError(f"k_max = {k_max} outside allowed range 1..{KMAX_CAP}")
 
 
 def _convolve_into(acc: list[int], left: list[int], right: list[int], scale: int) -> int:
@@ -158,29 +158,29 @@ def _start_stats(stats: dict | None) -> dict:
     return stats
 
 
-def connected_counts(
-    k_max: int, cap: int = DEFAULT_KMAX_CAP, stats: dict | None = None
-) -> GraphCountTable:
+def connected_counts(k_max: int, stats: dict | None = None) -> GraphCountTable:
     """Table of g'(e, k) for 1 <= k <= k_max (component counts left empty).
+
+    k_max outside 1..KMAX_CAP, read when called, raises ValueError.
 
     When a dict is passed as stats, the coefficient products of the row
     convolutions are recorded under "row_products" (all of them, here the g'
     recurrence) and "gprime_row_products" (the g' recurrence's share).
     """
-    _check_kmax(k_max, cap)
+    _check_kmax(k_max)
     gp = _gprime_rows(k_max, _start_stats(stats))
     return GraphCountTable(k_max, _gprime_dict(gp))
 
 
-def component_counts(
-    k_max: int, cap: int = DEFAULT_KMAX_CAP, stats: dict | None = None
-) -> GraphCountTable:
+def component_counts(k_max: int, stats: dict | None = None) -> GraphCountTable:
     """Table of both g'(e, k) and g(c, e, k) for 1 <= k <= k_max.
+
+    k_max is checked against KMAX_CAP as in connected_counts.
 
     stats, when given, is filled as in connected_counts; "row_products" then
     also counts the component recurrence.
     """
-    _check_kmax(k_max, cap)
+    _check_kmax(k_max)
     stats = _start_stats(stats)
     gp = _gprime_rows(k_max, stats)
     g = _g_rows(k_max, gp, stats)

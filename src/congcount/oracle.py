@@ -33,7 +33,7 @@ import math
 from operator import mul
 from typing import Iterable
 
-from .arith import factorize_bounded, falling_factorial
+from .arith import factor_partially, falling_factorial
 from .congruence import CongruenceInstance, lehmer_count
 from .errors import ResourceLimitError
 
@@ -43,7 +43,7 @@ EqualityPattern = Iterable[tuple[int, int]]
 EDGE_SUBSET_MAX_K = 5
 # 0.13-0.19 us a DP step in CPython 3.11 on a 2-core x86 VM: at most about 6 s
 PARTITION_STEP_BUDGET = 1 << 25
-DEFAULT_TUPLE_BUDGET = 10 ** 8
+TUPLE_BUDGET = 10 ** 8
 
 
 def all_pairs(k: int) -> tuple[tuple[int, int], ...]:
@@ -181,8 +181,8 @@ def iep_partitions(inst: CongruenceInstance, stats: dict | None = None) -> int:
     total = n * falling_factorial(n, k) * common * (b % common == 0)
     if ell == common:
         return total // n
-    pairs = factorize_bounded(ell, PARTITION_STEP_BUDGET)
-    if pairs is None:
+    pairs, rest = factor_partially(ell, PARTITION_STEP_BUDGET)
+    if rest > 1:
         raise ResourceLimitError(
             f"gcd(sum of coefficients, n) = {ell} does not factor within "
             f"{PARTITION_STEP_BUDGET} trial divisions"
@@ -262,11 +262,7 @@ def _partition_sum(coeffs, n: int, d: int, stats: dict | None) -> int:
     return z[full - 1]
 
 
-def brute_force_distinct(
-    inst: CongruenceInstance,
-    budget: int = DEFAULT_TUPLE_BUDGET,
-    stats: dict | None = None,
-) -> int:
+def brute_force_distinct(inst: CongruenceInstance, stats: dict | None = None) -> int:
     """Count distinct-coordinate solutions by direct enumeration.
 
     The injective (k-1)-prefixes are visited in lexicographic order.  For
@@ -275,8 +271,10 @@ def brute_force_distinct(
     tabled once per call, minus the prefix entries with that residue is the
     count of those x.  So each of the n(n-1)...(n-k+1) injective tuples is
     decided, never more than n**k.  With k = 1 there is one empty prefix and
-    x is walked directly: n can then be as large as the budget, and no table
-    of n entries is built.  k > n short-circuits to 0 without enumerating.
+    x is walked directly: n can then be as large as TUPLE_BUDGET, and no
+    table of n entries is built.  Refuses (ResourceLimitError) when n**k
+    exceeds TUPLE_BUDGET, read when called; k > n short-circuits to 0 before
+    that check, without enumerating.
     When a dict is passed as stats, the decided tuples are recorded under
     "tuples_evaluated" and the prefixes visited under "prefixes".
     """
@@ -285,9 +283,9 @@ def brute_force_distinct(
         if stats is not None:
             stats["tuples_evaluated"] = stats["prefixes"] = 0
         return 0
-    if n ** k > budget:
+    if n ** k > TUPLE_BUDGET:
         raise ResourceLimitError(
-            f"n**k = {n ** k} exceeds the enumeration budget {budget}"
+            f"n**k = {n ** k} exceeds the enumeration budget {TUPLE_BUDGET}"
         )
     *head, last = inst.coeffs
     if head:

@@ -36,15 +36,15 @@ def test_factorize_examples():
     assert trial_division_prime(97)
 
 
-def test_factorize_bounded_counts_candidate_divisors():
+def test_factor_partially_counts_candidate_divisors():
     # 37 is the 19th candidate of 2, 3, 5, 7, ...; after it, 39**2 > 41 ends the search
-    assert arith.factorize_bounded(37 * 41, 18) is None
-    assert arith.factorize_bounded(37 * 41, 19) == [(37, 1), (41, 1)]
+    assert arith.factor_partially(37 * 41, 18) == ([], 37 * 41)
+    assert arith.factor_partially(37 * 41, 19) == ([(37, 1), (41, 1)], 1)
     # one division by 2 leaves the prime 3 < 3**2
-    assert arith.factorize_bounded(6, 1) == [(2, 1), (3, 1)]
-    assert arith.factorize_bounded(1, 0) == []
+    assert arith.factor_partially(6, 1) == ([(2, 1), (3, 1)], 1)
+    assert arith.factor_partially(1, 0) == ([], 1)
     for n in range(1, 2000):
-        assert arith.factorize_bounded(n, n) == arith.factorize(n)
+        assert arith.factor_partially(n, n) == (arith.factorize(n), 1)
 
 
 def test_factor_partially_keeps_what_it_found():

@@ -78,22 +78,23 @@ def test_check_condition_reports_first_failure_by_size_then_lex():
     assert rep.failing_subset == (1, 2)
 
 
-def test_check_condition_subset_cap():
+def test_check_condition_subset_cap(monkeypatch):
     # 25 ones mod 101 is answered by the residue DP, far inside the budget
     rep = check_condition(CongruenceInstance((1,) * 25, 0, 101))
     assert rep.holds and rep.failing_subset is None
     # a prime too large for the DP leaves only the 2**25 scan, past the cap
     with pytest.raises(ResourceLimitError, match="24"):
         check_condition(CongruenceInstance((1,) * 25, 0, 1000000007))
-    # a custom cap is honored both ways: 26**2 * 30011 bits fit in 2**26,
-    # not in 2**24, and a cap of 3 leaves k = 4 to a refused scan
+    # SUBSET_CAP is read when called and honored both ways: 26**2 * 30011
+    # bits fit in 2**26, not in 2**24, and a cap of 3 leaves k = 4 to a
+    # refused scan
     with pytest.raises(ResourceLimitError, match="24"):
         check_condition(CongruenceInstance((1,) * 25, 0, 30011))
-    assert check_condition(CongruenceInstance((1,) * 25, 0, 30011), cap=26).holds
+    monkeypatch.setattr(congruence, "SUBSET_CAP", 26)
+    assert check_condition(CongruenceInstance((1,) * 25, 0, 30011)).holds
+    monkeypatch.setattr(congruence, "SUBSET_CAP", 3)
     with pytest.raises(ResourceLimitError, match="3"):
-        check_condition(CongruenceInstance((1, 1, 1, 1), 0, 5), cap=3)
-    with pytest.raises(ResourceLimitError, match="-1"):
-        check_condition(CongruenceInstance((1, 1), 0, 5), cap=-1)
+        check_condition(CongruenceInstance((1, 1, 1, 1), 0, 5))
 
 
 def _report_tuple(rep):
@@ -159,9 +160,9 @@ def test_check_condition_route_rule(monkeypatch):
     scanned = []
     original = congruence._scan_failing_subset
 
-    def recording(coeffs, n, cap, *before):
+    def recording(coeffs, n, *before):
         scanned.append((len(coeffs), n))
-        return original(coeffs, n, cap, *before)
+        return original(coeffs, n, *before)
 
     monkeypatch.setattr(congruence, "_scan_failing_subset", recording)
     cases = [
@@ -175,7 +176,7 @@ def test_check_condition_route_rule(monkeypatch):
     for coeffs, n, scan in cases:
         scanned.clear()
         inst = CongruenceInstance(coeffs, 0, n)
-        if len(coeffs) > congruence.DEFAULT_SUBSET_CAP and scan:
+        if len(coeffs) > congruence.SUBSET_CAP and scan:
             with pytest.raises(ResourceLimitError):
                 check_condition(inst)
         else:
@@ -183,7 +184,7 @@ def test_check_condition_route_rule(monkeypatch):
         assert scanned == ([(len(coeffs), n)] if scan else []), (coeffs, n)
 
 
-def test_check_condition_scans_only_before_dp_witness():
+def test_check_condition_scans_only_before_dp_witness(monkeypatch):
     # 2 is decided by the residue DP; 1000000007 is too large for it, but the
     # witness {1} leaves no earlier subset to scan
     twos = (2,) * 25
@@ -193,17 +194,19 @@ def test_check_condition_scans_only_before_dp_witness():
     # cap = 10, k = 11, n = 7 * 1009: 12**2 * 7 <= 2**10 < 12**2 * 1009.  Ten
     # ones and one 2: the witness mod 7 is the first size-6 subset holding
     # the 2, after the 1023 smaller subsets and one or two of size 6
+    monkeypatch.setattr(congruence, "SUBSET_CAP", 10)
     n = 7 * 1009
     two_at_7 = (1,) * 6 + (2,) + (1,) * 4
-    rep = check_condition(CongruenceInstance(two_at_7, 0, n), cap=10)
+    rep = check_condition(CongruenceInstance(two_at_7, 0, n))
     assert _report_tuple(rep) == reference_condition(two_at_7, 0, n)
     assert rep.failing_subset == (1, 2, 3, 4, 5, 7)  # 1024 = 2**10 subsets scanned
     two_at_8 = (1,) * 7 + (2,) + (1,) * 3
     with pytest.raises(ResourceLimitError, match="1025 gcd checks"):
-        check_condition(CongruenceInstance(two_at_8, 0, n), cap=10)
+        check_condition(CongruenceInstance(two_at_8, 0, n))
     # random instances mod p * q with the DP taking the small primes p and
     # the scan the prime q: coefficients that are multiples of q (or
     # complete one) plant scan witnesses before or after the DP's
+    monkeypatch.setattr(congruence, "SUBSET_CAP", 16)
     rng = random.Random(4)
     for k in range(6, 12):
         for _ in range(40):
@@ -214,7 +217,7 @@ def test_check_condition_scans_only_before_dp_witness():
                 i = rng.randrange(k)
                 coeffs[i] = q * rng.randint(1, 5) if rng.random() < 0.5 else -coeffs[i - 1] % q
             b = rng.randrange(n)
-            rep = check_condition(CongruenceInstance(coeffs, b, n), cap=16)
+            rep = check_condition(CongruenceInstance(coeffs, b, n))
             assert _report_tuple(rep) == reference_condition(tuple(coeffs), b, n), (coeffs, n)
 
 
@@ -231,9 +234,9 @@ def test_check_condition_runs_the_dp_for_primes_found_before_an_unfactored_cofac
         dp_primes.append(p)
         return first_zero_sum(coeffs, p)
 
-    def recording_scan(coeffs, n, cap, before=None):
+    def recording_scan(coeffs, n, before=None):
         scans.append(before)
-        return scan(coeffs, n, cap, before)
+        return scan(coeffs, n, before)
 
     monkeypatch.setattr(congruence, "_first_zero_sum_subset", recording_dp)
     monkeypatch.setattr(congruence, "_scan_failing_subset", recording_scan)

@@ -153,14 +153,15 @@ def test_power_series_coefficient_matches_alt_sum_all(table12):
     assert fifth.coeff(2) * factorial(2) == table12.alt_sum_all(2, 5) == 20
 
 
-def test_kmax_range_enforced():
+def test_kmax_range_enforced(monkeypatch):
     with pytest.raises(ValueError):
         graphenum.connected_counts(0)
     with pytest.raises(ValueError):
         graphenum.connected_counts(31)
     with pytest.raises(ValueError):
         graphenum.component_counts(31)
-    graphenum.connected_counts(31, cap=31)  # explicit cap raise is allowed
+    monkeypatch.setattr(graphenum, "KMAX_CAP", 31)
+    graphenum.connected_counts(31)  # KMAX_CAP is read when called
 
 
 def test_queries_outside_table_rejected(table12):

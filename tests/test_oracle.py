@@ -249,17 +249,19 @@ def test_brute_force_examples():
     assert brute_force_distinct(CongruenceInstance((1,) * 4, 0, 3)) == 0
 
 
-def test_brute_force_budget_and_accounting():
+def test_brute_force_budget_and_accounting(monkeypatch):
     inst = CongruenceInstance((1, 2, 3), 0, 4)
-    with pytest.raises(ResourceLimitError, match="64"):
-        brute_force_distinct(inst, budget=63)
     stats = {}
     brute_force_distinct(inst, stats=stats)
     assert stats["tuples_evaluated"] == perm(4, 3) == 24
     assert stats["tuples_evaluated"] <= 4 ** 3
+    monkeypatch.setattr(oracle, "TUPLE_BUDGET", 63)
+    with pytest.raises(ResourceLimitError, match="64"):
+        brute_force_distinct(inst)
     # k > n short-circuits before any budget or tuple accounting
+    monkeypatch.setattr(oracle, "TUPLE_BUDGET", 1)
     stats = {}
-    assert brute_force_distinct(CongruenceInstance((1, 1, 1), 0, 2), budget=1, stats=stats) == 0
+    assert brute_force_distinct(CongruenceInstance((1, 1, 1), 0, 2), stats=stats) == 0
     assert stats["tuples_evaluated"] == 0
 
 

@@ -1,4 +1,5 @@
 import ast
+import inspect
 from pathlib import Path
 
 import congcount
@@ -24,3 +25,16 @@ def test_cli_imports_nothing_from_the_oracle_module():
         elif isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
     assert [name for name in imported if name.rsplit(".", 1)[-1] == "oracle"] == []
+
+
+def test_no_public_callable_takes_a_cap():
+    """Each resource cap is a module constant its counter reads when called, never a parameter."""
+    found = []
+    for name in congcount.__all__:
+        obj = getattr(congcount, name)
+        # a class is checked through its __init__; one inherited from a builtin has none to check
+        fn = obj.__init__ if isinstance(obj, type) else obj
+        if inspect.isfunction(fn):
+            params = inspect.signature(fn).parameters
+            found += [f"{name}({p})" for p in params if p in ("cap", "budget")]
+    assert found == []
