@@ -15,9 +15,10 @@ of row convolutions, and a convolution walks only the nonzero stretch of each
 row.  The rows are then unpacked into the dicts of GraphCountTable, keyed
 (e, k) and (c, e, k) and inserted in (k, e) and (k, c, e) order.
 
-The alternating sums over these tables reduce to coefficient extractions from
-log(1+z) and (1+z)**n; they are recomputed from the tables here so tests can
-compare the two routes independently.
+The paper's identities sum_e (-1)**e g'(e, k) = (-1)**(k-1) (k-1)! and
+sum_{c,e} (-1)**e n**c g(c, e, k) = n(n-1)...(n-k+1) are coefficients of
+log(1+z) and (1+z)**n.  A table is plain data read through its two dicts;
+the test suite sums both identities from them.
 """
 
 from dataclasses import dataclass, field
@@ -28,58 +29,17 @@ KMAX_CAP = 30
 
 @dataclass(frozen=True)
 class GraphCountTable:
-    """Immutable lookup table of g'(e, k) and, optionally, g(c, e, k).
+    """The counts g'(e, k) and, optionally, g(c, e, k) for 1 <= k <= k_max.
 
-    Only nonzero entries are stored, inserted in (k, e) and (k, c, e) order;
-    accessors return 0 elsewhere.
+    gprime maps (e, k) to g'(e, k) and g maps (c, e, k) to g(c, e, k).  Only
+    nonzero entries are stored, inserted in (k, e) and (k, c, e) order, so a
+    missing key reads as 0.  g is empty in a table from connected_counts.
+    Each builder call returns new dicts, which the caller may change.
     """
 
     k_max: int
     gprime: dict[tuple[int, int], int]
     g: dict[tuple[int, int, int], int] = field(default_factory=dict)
-
-    def _check_k(self, k: int):
-        if not 1 <= k <= self.k_max:
-            raise ValueError(f"k = {k} outside table range 1..{self.k_max}")
-
-    @property
-    def has_components(self) -> bool:
-        return bool(self.g)
-
-    def gprime_at(self, e: int, k: int) -> int:
-        """g'(e, k): connected simple graphs, e edges, k labeled vertices."""
-        self._check_k(k)
-        return self.gprime.get((e, k), 0)
-
-    def g_at(self, c: int, e: int, k: int) -> int:
-        """g(c, e, k): simple graphs with c components, e edges, k labeled vertices."""
-        self._check_k(k)
-        if not self.g:
-            raise ValueError("table was built without component counts")
-        return self.g.get((c, e, k), 0)
-
-    def alt_sum_connected(self, k: int) -> int:
-        """sum_e (-1)**e g'(e, k), summed from the table (not the closed form)."""
-        self._check_k(k)
-        return sum(
-            (-1) ** e * self.gprime.get((e, k), 0) for e in range(comb(k, 2) + 1)
-        )
-
-    def alt_sum_all(self, k: int, n: int) -> int:
-        """sum_e sum_c (-1)**e n**c g(c, e, k), summed from the table."""
-        self._check_k(k)
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        if not self.g:
-            raise ValueError("table was built without component counts")
-        total = 0
-        for e in range(comb(k, 2) + 1):
-            sign = (-1) ** e
-            for c in range(1, k + 1):
-                cnt = self.g.get((c, e, k), 0)
-                if cnt:
-                    total += sign * n ** c * cnt
-        return total
 
 
 def _check_kmax(k_max: int):

@@ -51,42 +51,24 @@ def all_pairs(k: int) -> tuple[tuple[int, int], ...]:
     return tuple(itertools.combinations(range(1, k + 1), 2))
 
 
-class _UnionFind:
-    """Path-compressing union-find over 0..size-1."""
-
-    def __init__(self, size):
-        self.parent = list(range(size))
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def pattern_components(k: int, pattern: EqualityPattern) -> tuple[tuple[int, ...], ...]:
     """Connected components of the pattern graph on vertices 1..k.
 
     Blocks are sorted internally and ordered by smallest element, so the
     partition is canonical.
     """
-    uf = _UnionFind(k)
+    # block_of[v] is the sorted block holding v; index 0 is unused
+    block_of = [(v,) for v in range(k + 1)]
     for pair in pattern:
         u, v = pair
         if not (1 <= u < v <= k):
             raise ValueError(f"pattern pair {pair!r} is not 1 <= u < v <= {k}")
-        uf.union(u - 1, v - 1)
-    blocks: dict[int, list[int]] = {}
-    for x in range(k):
-        blocks.setdefault(uf.find(x), []).append(x + 1)
-    return tuple(tuple(blocks[root]) for root in sorted(blocks))
+        if block_of[u] != block_of[v]:
+            merged = tuple(sorted(block_of[u] + block_of[v]))
+            for x in merged:
+                block_of[x] = merged
+    # a block first appears at its smallest element
+    return tuple(dict.fromkeys(block_of[1:]))
 
 
 def pattern_count(inst: CongruenceInstance, pattern: EqualityPattern) -> int:

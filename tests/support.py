@@ -56,6 +56,20 @@ def edge_subset_graph_counts(k):
     return gprime, g
 
 
+def alt_sum_connected(gprime, k):
+    """sum over e of (-1)**e g'(e, k), summed from a dict keyed (e, k) (not the closed form)."""
+    return sum((-1) ** e * gprime.get((e, k), 0) for e in range(comb(k, 2) + 1))
+
+
+def alt_sum_all(g, k, n):
+    """sum over c, e of (-1)**e n**c g(c, e, k), summed from a dict keyed (c, e, k)."""
+    return sum(
+        (-1) ** e * n ** c * g.get((c, e, k), 0)
+        for e in range(comb(k, 2) + 1)
+        for c in range(1, k + 1)
+    )
+
+
 def reference_graph_tables(k_max):
     """(gprime, g) dicts of g'(e, k) and g(c, e, k), 1 <= k <= k_max, nonzero entries only.
 

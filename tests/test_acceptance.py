@@ -29,7 +29,13 @@ from congcount.series import (
     series_log,
     series_pow,
 )
-from support import congruence_histogram, edge_subset_graph_counts, unit_histogram
+from support import (
+    alt_sum_all,
+    alt_sum_connected,
+    congruence_histogram,
+    edge_subset_graph_counts,
+    unit_histogram,
+)
 
 
 def _report(name, checks, t0):
@@ -105,10 +111,10 @@ def test_graph_tables_match_exhaustive_enumeration():
         gprime_hat, g_hat = edge_subset_graph_counts(k)
         connected_totals.append(sum(gprime_hat.values()))
         for e in range(comb(k, 2) + 1):
-            assert table.gprime_at(e, k) == gprime_hat.get(e, 0), (e, k)
+            assert table.gprime.get((e, k), 0) == gprime_hat.get(e, 0), (e, k)
             checked += 1
             for c in range(1, k + 1):
-                assert table.g_at(c, e, k) == g_hat.get((c, e), 0), (c, e, k)
+                assert table.g.get((c, e, k), 0) == g_hat.get((c, e), 0), (c, e, k)
                 checked += 1
     assert connected_totals == [1, 1, 4, 38, 728]
     _report("recurrence tables == exhaustive edge-subset enumeration (k<=5)", checked, t0)
@@ -122,13 +128,13 @@ def test_generating_function_identities():
 
     log_series = series_log(one_plus_z, 12)
     for k in range(1, 13):
-        assert log_series.coeff(k) * factorial(k) == table.alt_sum_connected(k)
+        assert log_series.coeff(k) * factorial(k) == alt_sum_connected(table.gprime, k)
         checked += 1
 
     for n in range(1, 13):
         powered = series_pow(one_plus_z, n, 10)
         for k in range(1, 11):
-            assert powered.coeff(k) * factorial(k) == table.alt_sum_all(k, n)
+            assert powered.coeff(k) * factorial(k) == alt_sum_all(table.g, k, n)
             checked += 1
 
     y_order, z_order = comb(6, 2), 6
@@ -136,14 +142,14 @@ def test_generating_function_identities():
     logged = bivar_log(grid)
     for k in range(1, z_order + 1):
         for e in range(y_order + 1):
-            want = table.gprime_at(e, k) if e <= comb(k, 2) else 0
+            want = table.gprime.get((e, k), 0)
             assert logged[e][k] * factorial(k) == want, (e, k)
             checked += 1
     for t in range(1, 5):
         powered = bivar_pow(grid, t)
         for k in range(1, z_order + 1):
             for e in range(comb(k, 2) + 1):
-                want = sum(t ** c * table.g_at(c, e, k) for c in range(1, k + 1))
+                want = sum(t ** c * table.g.get((c, e, k), 0) for c in range(1, k + 1))
                 assert powered[e][k] * factorial(k) == want, (t, e, k)
                 checked += 1
     _report("series coefficients == table alternating sums (k<=12; bivariate k<=6)", checked, t0)

@@ -35,6 +35,19 @@ def test_pattern_components_canonical():
     assert pattern_components(3, []) == ((1,), (2,), (3,))
 
 
+def test_pattern_components_matches_depth_first_search_on_random_patterns():
+    # repeated pairs and any pair order must give the same canonical partition
+    rng = random.Random(20261018)
+    for k in range(1, 11):
+        pairs = all_pairs(k)
+        for _ in range(300):
+            pattern = rng.choices(pairs, k=rng.randint(0, 2 * len(pairs)))
+            want = component_blocks(k, pattern)
+            assert pattern_components(k, pattern) == want, (k, pattern)
+            rng.shuffle(pattern)
+            assert pattern_components(k, pattern) == want, (k, pattern)
+
+
 def test_pattern_components_rejects_bad_pairs():
     with pytest.raises(ValueError):
         pattern_components(3, [(2, 1)])

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -38,3 +39,18 @@ def test_no_public_callable_takes_a_cap():
             params = inspect.signature(fn).parameters
             found += [f"{name}({p})" for p in params if p in ("cap", "budget")]
     assert found == []
+
+
+def test_graph_table_is_plain_data():
+    """A graph table is read through its dicts alone: three fields, nothing else in the class body."""
+    table_class = congcount.GraphCountTable
+    assert [f.name for f in dataclasses.fields(table_class)] == ["k_max", "gprime", "g"]
+    tree = ast.parse(inspect.getsource(table_class))
+    # only the docstring (an expression) and annotated fields: no def, property or assignment
+    body = tree.body[0].body
+    extra = [
+        getattr(node, "name", type(node).__name__)
+        for node in body
+        if not isinstance(node, (ast.AnnAssign, ast.Expr))
+    ]
+    assert extra == []
