@@ -42,7 +42,6 @@ from .series import (
     deformed_exp_bivariate,
     deformed_exp_truncated,
     rr_series_term,
-    series_add,
     series_log,
     series_mul,
     series_pow,
@@ -85,7 +84,6 @@ __all__ = [
     "rademacher_brauer_count",
     "rr_series_term",
     "schoenemann_count",
-    "series_add",
     "series_log",
     "series_mul",
     "series_pow",

@@ -23,13 +23,17 @@ from .graphenum import component_counts, connected_counts
 from .series import deformed_exp_truncated
 
 
-class _UsageError(Exception):
-    pass
+# first match wins: HypothesisError is a ValueError
+_EXIT_CODES = {
+    HypothesisError: (3, "precondition"),
+    ResourceLimitError: (4, "resource"),
+    ValueError: (2, "usage"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 @dataclass
@@ -37,68 +41,65 @@ class _Result:
     human: list[str]
     doc: dict
     notes: list[str] = field(default_factory=list)
-    errors: list[str] = field(default_factory=list)
-    code: int = 0
+    errors: list[str] = field(default_factory=list)  # each one makes the exit code 1
 
 
-def _parse_coeffs(text: str) -> tuple[int, ...]:
+def _instance(args) -> tuple[CongruenceInstance, dict]:
+    """The reduced instance and its "inputs" echo, which names b exactly when --b was given."""
     try:
-        return tuple(int(part.strip()) for part in text.split(","))
+        coeffs = tuple(int(part.strip()) for part in args.coeffs.split(","))
     except ValueError:
-        raise _UsageError(f"--coeffs must be comma-separated integers, got {text!r}")
-
-
-def _instance(args, b=None) -> CongruenceInstance:
-    return CongruenceInstance(_parse_coeffs(args.coeffs), b if b is not None else args.b, args.n)
-
-
-def _echo(inst: CongruenceInstance, with_b=True) -> dict:
-    inputs = {"n": str(inst.n)}
-    if with_b:
-        inputs["b"] = str(inst.b)
-    inputs["coeffs"] = [str(a) for a in inst.coeffs]
-    return inputs
+        raise ValueError(f"--coeffs must be comma-separated integers, got {args.coeffs!r}")
+    inst = CongruenceInstance(coeffs, args.b or 0, args.n)
+    inputs = {"n": str(inst.n), "b": str(inst.b), "coeffs": [str(a) for a in inst.coeffs]}
+    if args.b is None:
+        del inputs["b"]
+    return inst, inputs
 
 
 def _run_count(args) -> _Result:
-    inst = _instance(args)
+    inst, inputs = _instance(args)
     if args.method is None:
         value, method = auto_count(inst)
     else:
         value, method = distinct_count(inst, args.method), args.method
     return _Result(
         human=[str(value)],
-        doc={"inputs": _echo(inst), "method": method, "count": str(value)},
+        doc={"inputs": inputs, "method": method, "count": str(value)},
         notes=[f"method: {method}"],
     )
 
 
 def _run_check(args) -> _Result:
-    inst = _instance(args, b=args.b if args.b is not None else 0)
+    inst, inputs = _instance(args)
     report = check_condition(inst)
-    human = [f"holds: {'true' if report.holds else 'false'}"]
-    report_doc = {"holds": report.holds, "failing_subset": None}
-    if report.failing_subset is not None:
-        human.append("failing_subset: {" + ", ".join(map(str, report.failing_subset)) + "}")
-        report_doc["failing_subset"] = list(report.failing_subset)
-    human.append(f"full_sum_gcd: {report.full_sum_gcd}")
-    report_doc["full_sum_gcd"] = str(report.full_sum_gcd)
+    report_doc = {
+        "holds": report.holds,
+        "failing_subset": None if report.failing_subset is None else list(report.failing_subset),
+        "full_sum_gcd": str(report.full_sum_gcd),
+    }
     if args.b is not None:
-        human.append(f"divides_b: {'true' if report.divides_b else 'false'}")
         report_doc["divides_b"] = report.divides_b
     return _Result(
-        human=human,
-        doc={"inputs": _echo(inst, with_b=args.b is not None), "report": report_doc},
+        human=[f"{key}: {_text(value)}" for key, value in report_doc.items() if value is not None],
+        doc={"inputs": inputs, "report": report_doc},
     )
 
 
+def _text(value) -> str:
+    """A report value as check prints it: a set such as {1, 2}, true or false, or the string."""
+    if isinstance(value, list):
+        return "{" + ", ".join(map(str, value)) + "}"
+    return json.dumps(value) if isinstance(value, bool) else value
+
+
 def _run_compare(args) -> _Result:
-    inst = _instance(args)
-    results: dict[str, int] = {}
+    inst, inputs = _instance(args)
+    results: dict[str, str] = {}
     skipped: dict[str, str] = {}
     for name in METHODS:
         try:
-            results[name] = distinct_count(inst, name)
+            results[name] = str(distinct_count(inst, name))
         except HypothesisError:
             skipped[name] = "hypothesis fails"
         except ResourceLimitError:
@@ -106,20 +107,14 @@ def _run_compare(args) -> _Result:
             skipped[name] = "subset cap exceeded" if name == "formula" else "resource cap exceeded"
     agree = len(set(results.values())) <= 1
     human = [
-        f"{name:<14}  " + (str(results[name]) if name in results else f"skipped ({skipped[name]})")
+        f"{name:<14}  " + (results[name] if name in results else f"skipped ({skipped[name]})")
         for name in METHODS
     ]
     human.append(f"agreement: {'yes' if agree else 'no'}")
     return _Result(
         human=human,
-        doc={
-            "inputs": _echo(inst),
-            "results": {m: str(v) for m, v in results.items()},
-            "skipped": skipped,
-            "agree": agree,
-        },
+        doc={"inputs": inputs, "results": results, "skipped": skipped, "agree": agree},
         errors=[] if agree else ["error: disagreement: oracle methods returned differing counts"],
-        code=0 if agree else 1,
     )
 
 
@@ -141,13 +136,19 @@ def _run_series(args) -> _Result:
     try:
         beta = Fraction(args.beta)
     except (ValueError, ZeroDivisionError):
-        raise _UsageError(f"--beta must be an exact rational such as 2 or -1/3, got {args.beta!r}")
-    poly = deformed_exp_truncated(beta, args.order)
-    strs = [str(c) for c in poly.coeffs]
+        raise ValueError(f"--beta must be an exact rational such as 2 or -1/3, got {args.beta!r}")
+    strs = [str(c) for c in deformed_exp_truncated(beta, args.order).coeffs]
     return _Result(
         human=strs,
         doc={"inputs": {"beta": str(beta), "order": args.order}, "coefficients": strs},
     )
+
+
+def _add_instance_arguments(p: _Parser, b_help: str, b_required: bool = True) -> None:
+    """--n, --b and --coeffs, in this order: argparse names missing options in definition order."""
+    p.add_argument("--n", type=int, required=True, help="modulus (>= 1)")
+    p.add_argument("--b", type=int, required=b_required, help=b_help)
+    p.add_argument("--coeffs", required=True, help="comma-separated integers, e.g. --coeffs=-1,7,3")
 
 
 def _build_parser() -> _Parser:
@@ -159,48 +160,31 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("count", parents=[common], help="count distinct-coordinate solutions")
-    p.add_argument("--n", type=int, required=True, help="modulus (>= 1)")
-    p.add_argument("--b", type=int, required=True, help="right-hand side")
-    p.add_argument("--coeffs", required=True, help="comma-separated coefficients a1,a2,...")
+    def command(name, handler, about) -> _Parser:
+        p = sub.add_parser(name, parents=[common], help=about)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("count", _run_count, "count distinct-coordinate solutions")
+    _add_instance_arguments(p, "right-hand side")
     p.add_argument(
         "--method",
         choices=METHODS,
-        default=None,
         help="default: 0 by pigeonhole when k > n, else formula when the subset-sum gcd "
         "condition holds, else iep-partitions (also when the condition check is over budget)",
     )
-    p.set_defaults(handler=_run_count)
-
-    p = sub.add_parser("check", parents=[common], help="check the subset-sum gcd condition")
-    p.add_argument("--n", type=int, required=True, help="modulus (>= 1)")
-    p.add_argument("--coeffs", required=True, help="comma-separated coefficients")
-    p.add_argument("--b", type=int, default=None, help="also report whether gcd(sum, n) divides b")
-    p.set_defaults(handler=_run_check)
-
-    p = sub.add_parser(
-        "oracle-compare", parents=[common], help="run all applicable methods and compare"
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--coeffs", required=True)
-    p.set_defaults(handler=_run_compare)
-
-    p = sub.add_parser(
-        "graph-table", parents=[common], help="emit labeled-graph counts as JSON lines"
-    )
+    p = command("check", _run_check, "check the subset-sum gcd condition")
+    _add_instance_arguments(p, "also report whether gcd(sum, n) divides b", b_required=False)
+    p = command("oracle-compare", _run_compare, "run all applicable methods and compare")
+    _add_instance_arguments(p, "right-hand side")
+    p = command("graph-table", _run_graph_table, "emit labeled-graph counts as JSON lines")
     p.add_argument("--kmax", type=int, required=True, help="largest vertex count (1..30)")
     p.add_argument(
         "--connected", action="store_true", help="emit connected counts g'(e,k) instead of g(c,e,k)"
     )
-    p.set_defaults(handler=_run_graph_table)
-
-    p = sub.add_parser(
-        "series", parents=[common], help="emit deformed-exponential coefficients as fractions"
-    )
-    p.add_argument("--beta", required=True, help="exact rational, e.g. 2 or -1/3")
+    p = command("series", _run_series, "emit deformed-exponential coefficients as fractions")
+    p.add_argument("--beta", required=True, help="exact rational, e.g. 2, 1/3 or --beta=-1/3")
     p.add_argument("--order", type=int, required=True, help="truncation order (>= 0)")
-    p.set_defaults(handler=_run_series)
     return parser
 
 
@@ -209,25 +193,16 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         result = args.handler(args)
-    except _UsageError as exc:
-        print(f"error: usage: {exc}", file=sys.stderr)
-        return 2
     except SystemExit as exc:  # argparse --help
         return 0 if exc.code in (0, None) else int(exc.code)
-    except HypothesisError as exc:
-        print(f"error: precondition: {exc}", file=sys.stderr)
-        return 3
-    except ResourceLimitError as exc:
-        print(f"error: resource: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(f"error: usage: {exc}", file=sys.stderr)
-        return 2
+    except tuple(_EXIT_CODES) as exc:
+        code, category = next(v for kind, v in _EXIT_CODES.items() if isinstance(exc, kind))
+        print(f"error: {category}: {exc}", file=sys.stderr)
+        return code
     if args.json:
-        doc = dict(result.doc)
         if not args.no_timing:
-            doc["elapsed_ms"] = round((perf_counter() - t0) * 1000, 3)
-        print(json.dumps(doc))
+            result.doc["elapsed_ms"] = round((perf_counter() - t0) * 1000, 3)
+        print(json.dumps(result.doc))
     else:
         for line in result.human:
             print(line)
@@ -235,7 +210,7 @@ def main(argv=None) -> int:
             print(note, file=sys.stderr)
     for err in result.errors:
         print(err, file=sys.stderr)
-    return result.code
+    return 1 if result.errors else 0
 
 
 def entrypoint():

@@ -282,7 +282,7 @@ def rademacher_brauer_count(n: int, k: int, b: int) -> int:
 METHODS = ("formula", "iep-edges", "iep-partitions", "brute")
 
 
-def distinct_count(inst: CongruenceInstance, method: str = "formula") -> int:
+def distinct_count(inst: CongruenceInstance, method: str) -> int:
     """Count by the named method, one of METHODS.
 
     All methods agree wherever their preconditions overlap; the oracles also

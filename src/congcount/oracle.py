@@ -92,11 +92,15 @@ def iep_edge_subsets(inst: CongruenceInstance, stats: dict | None = None) -> int
     lehmer_count per partition, times the signed number of subsets that
     induce it (_edge_subset_signs, walked once per k).  Exact for arbitrary
     coefficients, but the walk is doubly exponential, hence the small cap on
-    k.  When a dict is passed as stats, the subsets walked for this k are
-    recorded under "edge_subsets" and the merged Lehmer counts under
-    "partitions".
+    k; k > n short-circuits to 0 before that cap, without walking.  When a
+    dict is passed as stats, the subsets walked for this k are recorded under
+    "edge_subsets" and the merged Lehmer counts under "partitions".
     """
     k = inst.k
+    if k > inst.n:
+        if stats is not None:
+            stats["edge_subsets"] = stats["partitions"] = 0
+        return 0
     if k > EDGE_SUBSET_MAX_K:
         raise ResourceLimitError(
             f"2**C({k},2) edge subsets is too many; cap is k <= {EDGE_SUBSET_MAX_K}, "

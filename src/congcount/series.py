@@ -50,12 +50,6 @@ class SeriesPoly:
         return "SeriesPoly([" + ", ".join(str(c) for c in self.coeffs) + "])"
 
 
-def series_add(p: SeriesPoly, q: SeriesPoly) -> SeriesPoly:
-    """Coefficient-wise sum."""
-    length = max(len(p.coeffs), len(q.coeffs))
-    return SeriesPoly([p.coeff(m) + q.coeff(m) for m in range(length)])
-
-
 def _one_row(p: SeriesPoly, order: int) -> list[list[Fraction]]:
     """p padded or truncated to order + 1 coefficients, as a one-row grid."""
     if order < 0:

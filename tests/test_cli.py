@@ -294,16 +294,53 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+def option_help(text):
+    """Map each option listed in an argparse --help text to its help, wrapped lines joined."""
+    entries, current = {}, None
+    for line in text.split("options:\n", 1)[1].splitlines():
+        if line.startswith("  -"):
+            flags, _, rest = line.strip().partition("  ")
+            current = flags.split(", ")[-1].split()[0]
+            entries[current] = rest.strip()
+        elif current and line.strip():
+            entries[current] = (entries[current] + " " + line.strip()).strip()
+    return entries
+
+
+def test_every_option_has_one_help_text(capsys):
+    helps = {}
+    for name in ("count", "check", "oracle-compare", "graph-table", "series"):
+        code, out, _ = run_cli(capsys, [name, "--help"])
+        assert code == 0
+        helps[name] = option_help(out)
+        assert {"--help", "--json", "--no-timing"} <= set(helps[name]), name
+        for option, text in helps[name].items():
+            assert text, (name, option)
+    assert set(helps["count"]) >= {"--n", "--b", "--coeffs", "--method"}
+    for option in ("--n", "--coeffs"):
+        assert helps["count"][option] == helps["check"][option] == helps["oracle-compare"][option]
+    # a negative value must be glued to its option, or argparse reads it as one
+    assert "--coeffs=-" in helps["count"]["--coeffs"]
+    assert "--beta=-" in helps["series"]["--beta"]
+
+
 def test_repeated_invocations_are_byte_identical(capsys):
+    outputs = {}
     for argv in (
         ["count", "--n", "5", "--b", "0", "--coeffs", "1,1,3", "--json", "--no-timing"],
         ["graph-table", "--kmax", "4"],
-        ["series", "--beta", "-1/2", "--order", "6"],
+        ["series", "--beta=-1/2", "--order", "6"],
         ["check", "--n", "12", "--b", "3", "--coeffs", "1,5,7", "--json", "--no-timing"],
     ):
         first = run_cli(capsys, argv)
         second = run_cli(capsys, argv)
         assert first == second
+        assert first[0] == 0, argv
+        outputs[argv[0]] = first[1]
+    # beta**C(m,2) / m! at beta = -1/2
+    assert outputs["series"].split() == [
+        "1", "1", "-1/4", "-1/48", "1/1536", "1/122880", "-1/23592960"
+    ]
 
 
 def test_module_entry_point_runs_as_subprocess():
@@ -371,9 +408,15 @@ def test_partition_method_is_zero_when_k_exceeds_n(capsys):
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
     doc = json.loads(out)
-    assert doc["results"] == {"iep-partitions": "0", "brute": "0"}
-    assert set(doc["skipped"]) == {"formula", "iep-edges"}
+    assert doc["results"] == {"iep-edges": "0", "iep-partitions": "0", "brute": "0"}
+    assert set(doc["skipped"]) == {"formula"}
     assert doc["agree"] is True
+
+
+def test_edge_method_is_zero_when_k_exceeds_n(capsys):
+    # pigeonhole answers before the k <= 5 cap on the edge-subset walk
+    argv = ["count", "--n", "3", "--b", "0", "--coeffs", "1,1,1,1,1,1", "--method", "iep-edges"]
+    assert run_cli(capsys, argv) == (0, "0\n", "method: iep-edges\n")
 
 
 def test_check_small_prime_witness_spares_the_large_prime_scan(capsys):

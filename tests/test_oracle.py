@@ -95,6 +95,17 @@ def test_iep_edge_subsets_cap():
     assert table.cache_info().currsize <= oracle.EDGE_SUBSET_MAX_K
 
 
+def test_iep_edge_subsets_is_zero_when_k_exceeds_n():
+    # pigeonhole answers before the cap, without walking or building a sign table
+    table = oracle._edge_subset_signs
+    before = table.cache_info()
+    for k, n in ((6, 5), (13, 5), (3, 2)):
+        stats = {}
+        assert iep_edge_subsets(CongruenceInstance((1,) * k, 0, n), stats=stats) == 0
+        assert stats == {"edge_subsets": 0, "partitions": 0}
+    assert table.cache_info() == before
+
+
 def test_iep_edge_subsets_one_lehmer_call_per_partition(monkeypatch):
     calls = []
 

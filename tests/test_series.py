@@ -20,10 +20,6 @@ def test_coeff_access_and_trailing_zero_equality():
     assert hash(p) == hash(SeriesPoly([1, 2, 0, 0]))
 
 
-def test_series_add():
-    assert series.series_add(SeriesPoly([1, 1]), SeriesPoly([0, 2, 3])) == SeriesPoly([1, 3, 3])
-
-
 def test_series_mul_truncates():
     one_plus = SeriesPoly([1, 1])
     one_minus = SeriesPoly([1, -1])
