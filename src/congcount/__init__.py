@@ -11,6 +11,8 @@ and exact truncated power series -- is exposed as well.  All arithmetic is
 exact: unbounded integers and rationals, never floating point.
 """
 
+from types import ModuleType as _ModuleType
+
 from .arith import binomial, euler_phi, factorize, falling_factorial, gcd_many, is_prime
 from .congruence import (
     METHODS,
@@ -49,42 +51,9 @@ from .series import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CongruenceInstance",
-    "ConditionReport",
-    "GraphCountTable",
-    "HypothesisError",
-    "METHODS",
-    "ResourceLimitError",
-    "SeriesPoly",
-    "all_pairs",
-    "auto_count",
-    "binomial",
-    "bivar_log",
-    "bivar_mul",
-    "bivar_pow",
-    "brute_force_distinct",
-    "check_condition",
-    "component_counts",
-    "connected_counts",
-    "deformed_exp_bivariate",
-    "deformed_exp_truncated",
-    "distinct_count",
-    "distinct_count_formula",
-    "euler_phi",
-    "factorize",
-    "falling_factorial",
-    "gcd_many",
-    "iep_edge_subsets",
-    "iep_partitions",
-    "is_prime",
-    "lehmer_count",
-    "pattern_components",
-    "pattern_count",
-    "rademacher_brauer_count",
-    "rr_series_term",
-    "schoenemann_count",
-    "series_log",
-    "series_mul",
-    "series_pow",
-]
+# the imports above are the one list of public names
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

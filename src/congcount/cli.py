@@ -31,7 +31,22 @@ _EXIT_CODES = {
 }
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's formatter, wrapping at spaces only: textwrap would split iep-partitions."""
+
+    def _split_lines(self, text, width):
+        import textwrap  # only help text needs it: the import would add to every process's start
+
+        return textwrap.wrap(" ".join(text.split()), width, break_on_hyphens=False)
+
+    def _fill_text(self, text, width, indent):
+        return "\n".join(indent + line for line in self._split_lines(text, width - len(indent)))
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=_HelpFormatter, **kwargs)
+
     def error(self, message):
         raise ValueError(message)
 
@@ -152,7 +167,8 @@ def _add_instance_arguments(p: _Parser, b_help: str, b_required: bool = True) ->
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="congcount", description=__doc__.splitlines()[0])
+    summary = sys.modules[__package__].__doc__.splitlines()[0]  # the package's, not this module's
+    parser = _Parser(prog="congcount", description=summary)
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one JSON document")
     common.add_argument(

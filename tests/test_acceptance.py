@@ -192,73 +192,10 @@ def test_counts_sum_to_injective_tuple_total():
     _report("counts summed over b == n(n-1)...(n-k+1) on the subset-gcd grid", checked, t0)
 
 
-DOCUMENTED_INVOCATIONS = [
-    (
-        ["count", "--n", "5", "--b", "0", "--coeffs", "1,1,3"],
-        "20\n",
-        0,
-    ),
-    (
-        ["check", "--n", "6", "--coeffs", "2,4"],
-        "holds: false\nfailing_subset: {1}\nfull_sum_gcd: 6\n",
-        0,
-    ),
-    (
-        ["count", "--n", "5", "--b", "0", "--coeffs", "1,1,3", "--method", "brute"],
-        "20\n",
-        0,
-    ),
-    (
-        ["check", "--n", "5", "--b", "0", "--coeffs", "1,1,3"],
-        "holds: true\nfull_sum_gcd: 5\ndivides_b: true\n",
-        0,
-    ),
-    (
-        ["count", "--n", "4", "--b", "0", "--coeffs", "2,2"],
-        "4\n",
-        0,
-    ),
-    (
-        ["count", "--n", "5", "--b", "0", "--coeffs", "1,1,3", "--json", "--no-timing"],
-        '{"inputs": {"n": "5", "b": "0", "coeffs": ["1", "1", "3"]},'
-        ' "method": "formula", "count": "20"}\n',
-        0,
-    ),
-    (
-        ["oracle-compare", "--n", "5", "--b", "0", "--coeffs", "1,1,3"],
-        "formula         20\n"
-        "iep-edges       20\n"
-        "iep-partitions  20\n"
-        "brute           20\n"
-        "agreement: yes\n",
-        0,
-    ),
-    (
-        ["series", "--beta", "0", "--order", "5"],
-        "1\n1\n0\n0\n0\n0\n",
-        0,
-    ),
-    (
-        ["graph-table", "--kmax", "3", "--connected"],
-        '{"e": 0, "k": 1, "count": "1"}\n'
-        '{"e": 1, "k": 2, "count": "1"}\n'
-        '{"e": 2, "k": 3, "count": "3"}\n'
-        '{"e": 3, "k": 3, "count": "1"}\n',
-        0,
-    ),
-]
-
-
 def test_cli_documented_invocations_reproduce_recorded_output(capsys):
-    t0 = perf_counter()
-    for argv, expected_out, expected_code in DOCUMENTED_INVOCATIONS:
-        code = cli.main(argv)
-        out = capsys.readouterr().out
-        assert out == expected_out, argv
-        assert code == expected_code, argv
-    checked = len(DOCUMENTED_INVOCATIONS)
-
+    # the documented transcripts are rows of test_cli.TRANSCRIPTS; here
     # oracle-compare agrees across the whole small grid
+    t0 = perf_counter()
     compared = 0
     for n in range(1, 7):
         for k in range(1, 4):
@@ -271,8 +208,4 @@ def test_cli_documented_invocations_reproduce_recorded_output(capsys):
                     assert code == 0, (coeffs, b, n)
                     compared += 1
     capsys.readouterr()
-    _report(
-        f"documented CLI output reproduced byte-for-byte; oracle-compare clean on {compared} instances",
-        checked + compared,
-        t0,
-    )
+    _report("oracle-compare exits 0, all methods agreeing (n<=6, k<=3)", compared, t0)
