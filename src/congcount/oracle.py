@@ -3,8 +3,9 @@
 Three independent routes, all exact:
 
 * brute_force_distinct -- enumerate the distinct tuples directly: the first
-                          k-1 coordinates by permutation, the last one from
-                          a per-residue count of its admissible values.
+                          k-1 coordinates by a depth-first walk carrying the
+                          running sum, the last one from a per-residue count
+                          of the values the prefix leaves free.
 * iep_edge_subsets     -- inclusion-exclusion over all subsets of the C(k,2)
                           possible coordinate equalities: each subset forces
                           its pairs equal, merging coefficients along the
@@ -30,7 +31,6 @@ instances the closed form refuses.
 import functools
 import itertools
 import math
-from operator import mul
 from typing import Iterable
 
 from .arith import factor_partially, falling_factorial
@@ -251,18 +251,23 @@ def _partition_sum(coeffs, n: int, d: int, stats: dict | None) -> int:
 def brute_force_distinct(inst: CongruenceInstance, stats: dict | None = None) -> int:
     """Count distinct-coordinate solutions by direct enumeration.
 
-    The injective (k-1)-prefixes are visited in lexicographic order.  For
-    each, the last coordinate must satisfy ak * x = b - (prefix sum) mod n and
-    differ from the prefix: the number of x with each residue of ak * x,
-    tabled once per call, minus the prefix entries with that residue is the
-    count of those x.  So each of the n(n-1)...(n-k+1) injective tuples is
-    decided, never more than n**k.  With k = 1 there is one empty prefix and
-    x is walked directly: n can then be as large as TUPLE_BUDGET, and no
-    table of n entries is built.  Refuses (ResourceLimitError) when n**k
-    exceeds TUPLE_BUDGET, read when called; k > n short-circuits to 0 before
-    that check, without enumerating.
+    The injective (k-1)-prefixes are walked depth first, in lexicographic
+    order, carrying the running target t = b - (prefix sum) mod n and the
+    values the prefix leaves free, so each node of the walk costs one
+    multiply-add.  The last coordinate must satisfy ak * x = t mod n and
+    differ from the prefix.  unused[r], the number of values outside the
+    prefix with ak * x = r mod n, is tabled once per call and updated as each
+    prefix coordinate is pushed and popped; at the last prefix level each
+    free value x, with r = t - a(k-1) * x mod n, completes to unused[r] tuples
+    less one when ak * x = r itself.  So each of the n(n-1)...(n-k+1)
+    injective tuples is decided, never more than n**k.  With k = 1 there is
+    one empty prefix and x is walked directly: n can then be as large as
+    TUPLE_BUDGET, and no table of n entries is built.  Refuses
+    (ResourceLimitError) when n**k exceeds TUPLE_BUDGET, read when called;
+    k > n short-circuits to 0 before that check, without enumerating.
     When a dict is passed as stats, the decided tuples are recorded under
-    "tuples_evaluated" and the prefixes visited under "prefixes".
+    "tuples_evaluated" and the prefixes, counted as the walk visits them,
+    under "prefixes".
     """
     k, n, b = inst.k, inst.n, inst.b
     if k > n:
@@ -274,18 +279,34 @@ def brute_force_distinct(inst: CongruenceInstance, stats: dict | None = None) ->
             f"n**k = {n ** k} exceeds the enumeration budget {TUPLE_BUDGET}"
         )
     *head, last = inst.coeffs
-    if head:
-        residue = [last * x % n for x in range(n)]
-        hits = [0] * n
-        for r in residue:
-            hits[r] += 1
-        total = 0
-        for xs in itertools.permutations(range(n), k - 1):
-            r = (b - sum(map(mul, head, xs))) % n
-            total += hits[r] - [residue[x] for x in xs].count(r)
-    else:
+    if not head:
         total = sum(last * x % n == b for x in range(n))
+        prefixes = 1
+    else:
+        *inner, a = head
+        depth = len(inner)
+        residue = [last * x % n for x in range(n)]
+        unused = [0] * n
+        for r in residue:
+            unused[r] += 1
+        total = prefixes = 0
+
+        def walk(level: int, t: int, free: list[int]) -> None:
+            nonlocal total, prefixes
+            if level == depth:
+                prefixes += len(free)
+                for x in free:
+                    r = (t - a * x) % n
+                    total += unused[r] - (residue[x] == r)
+                return
+            c = inner[level]
+            for i, x in enumerate(free):
+                unused[residue[x]] -= 1
+                walk(level + 1, (t - c * x) % n, free[:i] + free[i + 1:])
+                unused[residue[x]] += 1
+
+        walk(0, b, list(range(n)))
     if stats is not None:
-        stats["prefixes"] = math.perm(n, k - 1)
+        stats["prefixes"] = prefixes
         stats["tuples_evaluated"] = math.perm(n, k)
     return total

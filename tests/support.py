@@ -6,7 +6,7 @@ compares two genuinely different routes.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb, factorial, gcd
 
 
@@ -124,14 +124,43 @@ def connected_graph_totals(k_max):
     return totals
 
 
+def brute_distinct_histogram(coeffs, n):
+    """Distinct-coordinate solution counts per residue b, by unpruned product enumeration."""
+    k = len(coeffs)
+    hist = [0] * n
+    for xs in product(range(n), repeat=k):
+        if len(set(xs)) == k:
+            hist[sum(a * x for a, x in zip(coeffs, xs)) % n] += 1
+    return hist
+
+
 def brute_distinct_count(coeffs, b, n):
     """Distinct-coordinate solution count by unpruned product enumeration."""
+    return brute_distinct_histogram(coeffs, n)[b % n]
+
+
+def prefix_lookup_count(coeffs, b, n):
+    """Distinct-coordinate solution count by permuted prefixes and a residue table.
+
+    Every injective (k-1)-prefix comes from itertools.permutations and has its
+    weighted sum recomputed; the last coordinate's admissible values are the
+    per-residue count of ak * x at the residue the prefix leaves, less the
+    prefix entries with that residue.  Returns (count, stats) with stats
+    keyed like brute_force_distinct's: the prefixes as visited, and the
+    n - k + 1 last values each prefix decides.  Needs k <= n.
+    """
     k = len(coeffs)
-    total = 0
-    for xs in product(range(n), repeat=k):
-        if len(set(xs)) == k and sum(a * x for a, x in zip(coeffs, xs)) % n == b % n:
-            total += 1
-    return total
+    *head, last = coeffs
+    residue = [last * x % n for x in range(n)]
+    hits = [0] * n
+    for r in residue:
+        hits[r] += 1
+    total = prefixes = 0
+    for xs in permutations(range(n), k - 1):
+        r = (b - sum(a * x for a, x in zip(head, xs))) % n
+        total += hits[r] - [residue[x] for x in xs].count(r)
+        prefixes += 1
+    return total, {"prefixes": prefixes, "tuples_evaluated": prefixes * (n - k + 1)}
 
 
 def congruence_histogram(coeffs, n):

@@ -18,8 +18,10 @@ from congcount.oracle import (
 )
 from support import (
     brute_distinct_count,
+    brute_distinct_histogram,
     component_blocks,
     index_partitions,
+    prefix_lookup_count,
     reference_iep_partitions,
 )
 
@@ -310,13 +312,54 @@ def test_brute_force_single_coordinate_at_large_n():
     assert peak < 100_000
 
 
+def test_brute_force_matches_prefix_lookup_reference():
+    # k = 5..7 with n <= 12, where the n**k product enumeration is too slow;
+    # the second vector of each cell has ak = 0 mod n and a zero coefficient
+    rng = random.Random("brute-walk")
+    checked = 0
+    for k in range(5, 8):
+        for n in range(k, 13):
+            if perm(n, k - 1) > 10 ** 5:
+                continue
+            for zero_last in (False, True):
+                coeffs = [rng.randrange(-n, n) for _ in range(k)]
+                if zero_last:
+                    coeffs[rng.randrange(k - 1)] = 0
+                    coeffs[-1] = rng.choice((0, -n, 2 * n))
+                b = rng.randrange(-n, 2 * n)
+                reference, reference_stats = prefix_lookup_count(coeffs, b, n)
+                stats = {}
+                inst = CongruenceInstance(tuple(coeffs), b, n)
+                assert brute_force_distinct(inst, stats=stats) == reference, (coeffs, b, n)
+                assert stats == reference_stats, (coeffs, b, n)
+                checked += 1
+    assert checked == 36
+
+
+def test_brute_force_planted_extremes():
+    # k = n = 8, all ones: every permutation of 0..7 sums to 28 = 4 (mod 8)
+    for b in range(8):
+        stats = {}
+        count = brute_force_distinct(CongruenceInstance((1,) * 8, b, 8), stats=stats)
+        assert count == factorial(8) * (b == 4)
+        assert stats == {"prefixes": factorial(8), "tuples_evaluated": factorial(8)}
+    # k = 2 at n**k = TUPLE_BUDGET: x1 - x2 = b has n solutions, all distinct
+    # unless b = 0, where every solution has x1 = x2
+    n = 10 ** 4
+    assert n ** 2 == oracle.TUPLE_BUDGET
+    for b in (0, 1, 2, n // 2, n - 1):
+        stats = {}
+        count = brute_force_distinct(CongruenceInstance((1, -1), b, n), stats=stats)
+        assert count == n * (b != 0)
+        assert stats == {"prefixes": n, "tuples_evaluated": n * (n - 1)}
+
+
 def test_three_oracles_agree_small_grid():
-    for n in range(1, 6):
-        for k in range(1, 4):
+    for n in range(1, 7):
+        for k in range(1, 5):
             for coeffs in product(range(n), repeat=k):
-                for b in range(n):
+                for b, reference in enumerate(brute_distinct_histogram(coeffs, n)):
                     inst = CongruenceInstance(coeffs, b, n)
-                    reference = brute_distinct_count(coeffs, b, n)
                     assert brute_force_distinct(inst) == reference
                     assert iep_edge_subsets(inst) == reference
                     assert iep_partitions(inst) == reference

@@ -54,3 +54,23 @@ def test_graph_table_is_plain_data():
         if not isinstance(node, (ast.AnnAssign, ast.Expr))
     ]
     assert extra == []
+
+
+def test_brute_force_shares_no_code_with_the_other_counters():
+    """brute_force_distinct is the ground truth the other routes are checked against, so it calls none of them."""
+    others = {
+        "lehmer_count",
+        "pattern_count",
+        "pattern_components",
+        "iep_edge_subsets",
+        "iep_partitions",
+        "_partition_sum",
+        "_edge_subset_signs",
+        "check_condition",
+        "distinct_count_formula",
+    }
+    tree = ast.parse(inspect.getsource(congcount.oracle.brute_force_distinct))
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "TUPLE_BUDGET" in named  # the walk saw the body
+    assert named & others == set()
