@@ -1,26 +1,28 @@
-"""End-to-end acceptance checks, one test per shipped guarantee.
+"""End-to-end acceptance checks of the shipped guarantees.
 
 Every comparison is an exact integer or rational identity (tolerance zero).
-Each test prints one PASS line naming the guarantee and the grid it swept;
-run with `pytest tests/test_acceptance.py -v -s` to see them.
+Each test prints one PASS line per guarantee it checks, naming the guarantee
+and the grid it swept; run with `pytest tests/test_acceptance.py -v -s` to
+see them.
 """
 
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, perm
 from time import perf_counter
 
-from congcount import cli
 from congcount.arith import falling_factorial
 from congcount.congruence import (
+    METHODS,
     CongruenceInstance,
     check_condition,
-    distinct_count_formula,
+    distinct_count,
     lehmer_count,
     rademacher_brauer_count,
     schoenemann_count,
 )
+from congcount.errors import HypothesisError
 from congcount.graphenum import component_counts
-from congcount.oracle import brute_force_distinct, iep_edge_subsets, iep_partitions
+from congcount.oracle import brute_force_distinct
 from congcount.series import (
     SeriesPoly,
     bivar_log,
@@ -32,6 +34,7 @@ from congcount.series import (
 from support import (
     alt_sum_all,
     alt_sum_connected,
+    brute_distinct_histogram,
     congruence_histogram,
     edge_subset_graph_counts,
     unit_histogram,
@@ -42,27 +45,38 @@ def _report(name, checks, t0):
     print(f"PASS {name} [{checks} checks, {perf_counter() - t0:.1f}s]")
 
 
-def _condition_grid(n_range, k_range):
-    """Yield (coeffs, n) with coefficients in [1, n]**k passing the gcd condition."""
-    for n in n_range:
-        for k in k_range:
-            for coeffs in product(range(1, n + 1), repeat=k):
-                if check_condition(CongruenceInstance(coeffs, 0, n)).holds:
-                    yield coeffs, n
-
-
-def test_formula_matches_brute_force_grid():
+def test_every_method_matches_brute_force_on_the_exhaustive_grid():
+    # every coefficient vector in [0, n)**k, n <= 8, k <= 4, and every b; each
+    # method runs once per instance, reached through the dispatch
     t0 = perf_counter()
-    checked = 0
-    for coeffs, n in _condition_grid(range(2, 9), range(1, 5)):
-        for b in range(n):
-            inst = CongruenceInstance(coeffs, b, n)
-            value = distinct_count_formula(inst)
-            assert value == brute_force_distinct(inst), (coeffs, b, n)
-            assert 0 <= value <= n * falling_factorial(n, len(coeffs))
-            checked += 1
-    assert checked
-    _report("closed form == brute force on the full subset-gcd grid (n<=8, k<=4)", checked, t0)
+    others = [m for m in METHODS if m != "brute"]
+    vectors = histograms = instances = 0
+    for n in range(1, 9):
+        for k in range(1, 5):
+            for coeffs in product(range(n), repeat=k):
+                holds = check_condition(CongruenceInstance(coeffs, 0, n)).holds
+                insts = [CongruenceInstance(coeffs, b, n) for b in range(n)]
+                counts = [distinct_count(inst, "brute") for inst in insts]
+                if n <= 6:
+                    assert counts == brute_distinct_histogram(coeffs, n), (coeffs, n)
+                    histograms += 1
+                assert min(counts) >= 0 and sum(counts) == perm(n, k), (coeffs, n)
+                for inst, reference in zip(insts, counts):
+                    for method in others:
+                        try:
+                            value = distinct_count(inst, method)
+                        except HypothesisError:
+                            assert method == "formula" and not holds, (method, inst)
+                            continue
+                        assert method != "formula" or holds, inst
+                        assert value == reference, (method, inst)
+                vectors += 1
+                instances += n
+    assert instances == 72_048
+    _report("brute force == product enumeration (n<=6, k<=4)", histograms, t0)
+    _report(f"{', '.join(others)} == brute force wherever they answer (n<=8, k<=4)", instances, t0)
+    _report("formula refuses exactly where the subset-gcd condition fails", instances, t0)
+    _report("counts summed over b == n(n-1)...(n-k+1) for every vector", vectors, t0)
 
 
 def test_schoenemann_counts_coefficient_independent():
@@ -85,21 +99,6 @@ def test_schoenemann_counts_coefficient_independent():
                 checked += 1
             assert values == {closed}, (p, k)
     _report("prime-case counts are coefficient-independent (p in {3,5,7,11}, k<=4)", checked, t0)
-
-
-def test_edge_subset_inclusion_exclusion_matches_brute_force():
-    t0 = perf_counter()
-    checked = 0
-    for n in range(1, 9):
-        for k in range(1, 5):
-            for coeffs in product(range(n), repeat=k):
-                for b in range(n):
-                    inst = CongruenceInstance(coeffs, b, n)
-                    reference = brute_force_distinct(inst)
-                    assert iep_edge_subsets(inst) == reference, (coeffs, b, n)
-                    assert iep_partitions(inst) == reference, (coeffs, b, n)
-                    checked += 1
-    _report("inclusion-exclusion oracles == brute force, no hypothesis (n<=8, k<=4)", checked, t0)
 
 
 def test_graph_tables_match_exhaustive_enumeration():
@@ -178,34 +177,3 @@ def test_rademacher_brauer_matches_unit_enumeration():
                 assert rademacher_brauer_count(n, k, b) == hist[b], (n, k, b)
                 checked += 1
     _report("unit-coordinate count == exhaustive enumeration (n<=12, k<=4)", checked, t0)
-
-
-def test_counts_sum_to_injective_tuple_total():
-    t0 = perf_counter()
-    checked = 0
-    for coeffs, n in _condition_grid(range(2, 9), range(1, 5)):
-        total = sum(
-            distinct_count_formula(CongruenceInstance(coeffs, b, n)) for b in range(n)
-        )
-        assert total == n * falling_factorial(n, len(coeffs)), (coeffs, n)
-        checked += 1
-    _report("counts summed over b == n(n-1)...(n-k+1) on the subset-gcd grid", checked, t0)
-
-
-def test_cli_documented_invocations_reproduce_recorded_output(capsys):
-    # the documented transcripts are rows of test_cli.TRANSCRIPTS; here
-    # oracle-compare agrees across the whole small grid
-    t0 = perf_counter()
-    compared = 0
-    for n in range(1, 7):
-        for k in range(1, 4):
-            for coeffs in product(range(n), repeat=k):
-                coeff_arg = ",".join(map(str, coeffs))
-                for b in range(n):
-                    code = cli.main(
-                        ["oracle-compare", "--n", str(n), "--b", str(b), "--coeffs", coeff_arg]
-                    )
-                    assert code == 0, (coeffs, b, n)
-                    compared += 1
-    capsys.readouterr()
-    _report("oracle-compare exits 0, all methods agreeing (n<=6, k<=3)", compared, t0)

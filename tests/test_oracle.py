@@ -18,7 +18,6 @@ from congcount.oracle import (
 )
 from support import (
     brute_distinct_count,
-    brute_distinct_histogram,
     component_blocks,
     index_partitions,
     prefix_lookup_count,
@@ -190,15 +189,6 @@ def test_iep_partitions_refuses_unfactored_gcd(monkeypatch):
     assert iep_partitions(CongruenceInstance((1, 1), 0, n)) == n - 1
 
 
-def test_iep_partitions_matches_reference_grid():
-    for n in range(1, 9):
-        for k in range(1, 5):
-            for coeffs in product(range(n), repeat=k):
-                for b in range(n):
-                    inst = CongruenceInstance(coeffs, b, n)
-                    assert iep_partitions(inst) == reference_iep_partitions(coeffs, b, n)
-
-
 def _random_vectors(rng, k):
     """Seeded (coeffs, n) pairs: all-zero, L = n, L = 1, and n = 720."""
     for _ in range(2):
@@ -352,14 +342,3 @@ def test_brute_force_planted_extremes():
         count = brute_force_distinct(CongruenceInstance((1, -1), b, n), stats=stats)
         assert count == n * (b != 0)
         assert stats == {"prefixes": n, "tuples_evaluated": n * (n - 1)}
-
-
-def test_three_oracles_agree_small_grid():
-    for n in range(1, 7):
-        for k in range(1, 5):
-            for coeffs in product(range(n), repeat=k):
-                for b, reference in enumerate(brute_distinct_histogram(coeffs, n)):
-                    inst = CongruenceInstance(coeffs, b, n)
-                    assert brute_force_distinct(inst) == reference
-                    assert iep_edge_subsets(inst) == reference
-                    assert iep_partitions(inst) == reference
