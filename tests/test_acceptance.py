@@ -15,12 +15,10 @@ from congcount.congruence import (
     METHODS,
     CongruenceInstance,
     check_condition,
-    distinct_count,
     lehmer_count,
     rademacher_brauer_count,
     schoenemann_count,
 )
-from congcount.errors import HypothesisError
 from congcount.graphenum import component_counts
 from congcount.oracle import brute_force_distinct
 from congcount.series import (
@@ -34,7 +32,6 @@ from congcount.series import (
 from support import (
     alt_sum_all,
     alt_sum_connected,
-    brute_distinct_histogram,
     congruence_histogram,
     edge_subset_graph_counts,
     unit_histogram,
@@ -45,38 +42,35 @@ def _report(name, checks, t0):
     print(f"PASS {name} [{checks} checks, {perf_counter() - t0:.1f}s]")
 
 
-def test_every_method_matches_brute_force_on_the_exhaustive_grid():
+def test_every_method_matches_brute_force_on_the_exhaustive_grid(exhaustive_grid):
     # every coefficient vector in [0, n)**k, n <= 8, k <= 4, and every b; each
-    # method runs once per instance, reached through the dispatch
+    # method in METHODS ran once per instance, reached through the dispatch
     t0 = perf_counter()
     others = [m for m in METHODS if m != "brute"]
-    vectors = histograms = instances = 0
-    for n in range(1, 9):
-        for k in range(1, 5):
-            for coeffs in product(range(n), repeat=k):
-                holds = check_condition(CongruenceInstance(coeffs, 0, n)).holds
-                insts = [CongruenceInstance(coeffs, b, n) for b in range(n)]
-                counts = [distinct_count(inst, "brute") for inst in insts]
-                if n <= 6:
-                    assert counts == brute_distinct_histogram(coeffs, n), (coeffs, n)
-                    histograms += 1
-                assert min(counts) >= 0 and sum(counts) == perm(n, k), (coeffs, n)
-                for inst, reference in zip(insts, counts):
-                    for method in others:
-                        try:
-                            value = distinct_count(inst, method)
-                        except HypothesisError:
-                            assert method == "formula" and not holds, (method, inst)
-                            continue
-                        assert method != "formula" or holds, inst
-                        assert value == reference, (method, inst)
-                vectors += 1
-                instances += n
+    instances = 0
+    for coeffs, n, answers in exhaustive_grid:
+        for method in others:
+            for b, value in enumerate(answers[method]):
+                assert value in (None, answers["brute"][b]), (method, coeffs, b, n)
+        instances += n
     assert instances == 72_048
-    _report("brute force == product enumeration (n<=6, k<=4)", histograms, t0)
     _report(f"{', '.join(others)} == brute force wherever they answer (n<=8, k<=4)", instances, t0)
-    _report("formula refuses exactly where the subset-gcd condition fails", instances, t0)
-    _report("counts summed over b == n(n-1)...(n-k+1) for every vector", vectors, t0)
+
+
+def test_formula_matches_brute_force_grid(exhaustive_grid):
+    t0 = perf_counter()
+    checked = 0
+    for coeffs, n, answers in exhaustive_grid:
+        holds = check_condition(CongruenceInstance(coeffs, 0, n)).holds
+        for b, value in enumerate(answers["formula"]):
+            # None: the formula refused with HypothesisError
+            assert (value is not None) == holds, (coeffs, b, n)
+            if holds:
+                assert value == answers["brute"][b], (coeffs, b, n)
+                assert 0 <= value <= n * falling_factorial(n, len(coeffs))
+                checked += 1
+    assert checked
+    _report("closed form == brute force exactly where the subset-gcd condition holds (n<=8, k<=4)", checked, t0)
 
 
 def test_schoenemann_counts_coefficient_independent():
@@ -99,6 +93,17 @@ def test_schoenemann_counts_coefficient_independent():
                 checked += 1
             assert values == {closed}, (p, k)
     _report("prime-case counts are coefficient-independent (p in {3,5,7,11}, k<=4)", checked, t0)
+
+
+def test_edge_subset_inclusion_exclusion_matches_brute_force(exhaustive_grid):
+    t0 = perf_counter()
+    checked = 0
+    for coeffs, n, answers in exhaustive_grid:
+        for b, reference in enumerate(answers["brute"]):
+            assert answers["iep-edges"][b] == reference, (coeffs, b, n)
+            assert answers["iep-partitions"][b] == reference, (coeffs, b, n)
+            checked += 1
+    _report("inclusion-exclusion oracles == brute force, no hypothesis (n<=8, k<=4)", checked, t0)
 
 
 def test_graph_tables_match_exhaustive_enumeration():
@@ -177,3 +182,11 @@ def test_rademacher_brauer_matches_unit_enumeration():
                 assert rademacher_brauer_count(n, k, b) == hist[b], (n, k, b)
                 checked += 1
     _report("unit-coordinate count == exhaustive enumeration (n<=12, k<=4)", checked, t0)
+
+
+def test_counts_sum_to_injective_tuple_total(exhaustive_grid):
+    t0 = perf_counter()
+    for coeffs, n, answers in exhaustive_grid:
+        counts = answers["brute"]
+        assert min(counts) >= 0 and sum(counts) == perm(n, len(coeffs)), (coeffs, n)
+    _report("counts summed over b == n(n-1)...(n-k+1) for every vector", len(exhaustive_grid), t0)

@@ -278,6 +278,17 @@ def test_formula_depends_only_on_coefficient_sum():
                 assert distinct_count_formula(CongruenceInstance(perm, b, n)) == reference
 
 
+def test_formula_agrees_with_enumeration_small_grid():
+    for n in range(2, 7):
+        for k in range(1, 4):
+            for coeffs in product(range(1, n + 1), repeat=k):
+                if not check_condition(CongruenceInstance(coeffs, 0, n)).holds:
+                    continue
+                for b in range(n):
+                    inst = CongruenceInstance(coeffs, b, n)
+                    assert distinct_count_formula(inst) == brute_distinct_count(coeffs, b, n)
+
+
 def _subset_condition_vector_exists(n, k):
     # Depth-first search over coefficient residues 1..n with pruning: every
     # nonempty subset of a proper prefix must stay coprime to n; at full depth

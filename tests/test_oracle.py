@@ -18,6 +18,7 @@ from congcount.oracle import (
 )
 from support import (
     brute_distinct_count,
+    brute_distinct_histogram,
     component_blocks,
     index_partitions,
     prefix_lookup_count,
@@ -189,6 +190,12 @@ def test_iep_partitions_refuses_unfactored_gcd(monkeypatch):
     assert iep_partitions(CongruenceInstance((1, 1), 0, n)) == n - 1
 
 
+def test_iep_partitions_matches_reference_grid(exhaustive_grid):
+    for coeffs, n, answers in exhaustive_grid:
+        for b, value in enumerate(answers["iep-partitions"]):
+            assert value == reference_iep_partitions(coeffs, b, n), (coeffs, b, n)
+
+
 def _random_vectors(rng, k):
     """Seeded (coeffs, n) pairs: all-zero, L = n, L = 1, and n = 720."""
     for _ in range(2):
@@ -342,3 +349,11 @@ def test_brute_force_planted_extremes():
         count = brute_force_distinct(CongruenceInstance((1, -1), b, n), stats=stats)
         assert count == n * (b != 0)
         assert stats == {"prefixes": n, "tuples_evaluated": n * (n - 1)}
+
+
+def test_three_oracles_agree_small_grid(exhaustive_grid):
+    for coeffs, n, answers in exhaustive_grid:
+        if n <= 6:
+            reference = brute_distinct_histogram(coeffs, n)
+            for method in ("brute", "iep-edges", "iep-partitions"):
+                assert answers[method] == reference, (method, coeffs, n)
