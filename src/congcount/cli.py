@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from time import perf_counter
 
+from . import graphenum
 from .congruence import METHODS, CongruenceInstance, auto_count, check_condition, distinct_count
 from .errors import HypothesisError, ResourceLimitError
-from .graphenum import component_counts, connected_counts
 from .series import deformed_exp_truncated
 
 
@@ -136,10 +136,10 @@ def _run_compare(args) -> _Result:
 def _run_graph_table(args) -> _Result:
     # the tables hold only nonzero entries, in (k, e) and (k, c, e) order
     if args.connected:
-        table = connected_counts(args.kmax)
+        table = graphenum.connected_counts(args.kmax)
         rows = [{"e": e, "k": k, "count": str(cnt)} for (e, k), cnt in table.gprime.items()]
     else:
-        table = component_counts(args.kmax)
+        table = graphenum.component_counts(args.kmax)
         rows = [{"c": c, "e": e, "k": k, "count": str(cnt)} for (c, e, k), cnt in table.g.items()]
     return _Result(
         human=[] if args.json else [json.dumps(row) for row in rows],
@@ -194,7 +194,9 @@ def _build_parser() -> _Parser:
     p = command("oracle-compare", _run_compare, "run all applicable methods and compare")
     _add_instance_arguments(p, "right-hand side")
     p = command("graph-table", _run_graph_table, "emit labeled-graph counts as JSON lines")
-    p.add_argument("--kmax", type=int, required=True, help="largest vertex count (1..30)")
+    p.add_argument(
+        "--kmax", type=int, required=True, help=f"largest vertex count (1..{graphenum.KMAX_CAP})"
+    )
     p.add_argument(
         "--connected", action="store_true", help="emit connected counts g'(e,k) instead of g(c,e,k)"
     )

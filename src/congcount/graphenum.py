@@ -67,55 +67,48 @@ def _convolve_into(acc: list[int], left: list[int], right: list[int], scale: int
     return (len(left) - lo_l) * width
 
 
-def _gprime_rows(k_max: int, stats: dict) -> list[list[int]]:
+def _gprime_rows(k_max: int) -> tuple[list[list[int]], int]:
     # rows[k][e] = g'(e, k) = C(C(k,2), e) minus the graphs whose vertex-1
     # component has j < k vertices: choose its other j-1 vertices, a connected
     # graph on them, and anything at all on the remaining k-j vertices.  The
     # last factor is the Pascal row of C(k-j, 2), so each j is one convolution.
+    # Returns the rows and the number of coefficient products formed.
     pascal = {}
     for j in range(k_max + 1):
         m = comb(j, 2)
         pascal[m] = [comb(m, e) for e in range(m + 1)]
     rows = [[]]
+    products = 0
     for k in range(1, k_max + 1):
         acc = pascal[comb(k, 2)][:]
         for j in range(1, k):
-            stats["row_products"] += _convolve_into(
-                acc, rows[j], pascal[comb(k - j, 2)], -comb(k - 1, j - 1)
-            )
+            products += _convolve_into(acc, rows[j], pascal[comb(k - j, 2)], -comb(k - 1, j - 1))
         rows.append(acc)
-    stats["gprime_row_products"] = stats["row_products"]
-    return rows
+    return rows, products
 
 
-def _g_rows(k_max: int, gp: list[list[int]], stats: dict) -> list[list[list[int]]]:
+def _g_rows(k_max: int, gp: list[list[int]]) -> tuple[list[list[list[int]]], int]:
     # rows[k][c][e] = g(c, e, k), rows[k][0] empty; g(1, e, k) = g'(e, k).  For c >= 2, pick the
     # connected component of vertex 1 (j vertices) and convolve its g' row with
     # the (c-1)-component row on the remaining k-j vertices.  Row (c, k) ends
     # at e = C(k-c+1, 2), one component complete and the rest isolated.
+    # Returns the rows and the number of coefficient products formed.
     rows = [[]]
+    products = 0
     for k in range(1, k_max + 1):
         by_c = [[], gp[k]]
         for c in range(2, k + 1):
             acc = [0] * (comb(k - c + 1, 2) + 1)
             for j in range(1, k - c + 2):
-                stats["row_products"] += _convolve_into(
-                    acc, gp[j], rows[k - j][c - 1], comb(k - 1, j - 1)
-                )
+                products += _convolve_into(acc, gp[j], rows[k - j][c - 1], comb(k - 1, j - 1))
             by_c.append(acc)
         rows.append(by_c)
-    return rows
+    return rows, products
 
 
 def _gprime_dict(gp: list[list[int]]) -> dict[tuple[int, int], int]:
     # rows[0] is empty, so keys run over k = 1..k_max in (k, e) order
     return {(e, k): v for k, row in enumerate(gp) for e, v in enumerate(row) if v}
-
-
-def _start_stats(stats: dict | None) -> dict:
-    stats = {} if stats is None else stats
-    stats["row_products"] = stats["gprime_row_products"] = 0
-    return stats
 
 
 def connected_counts(k_max: int, stats: dict | None = None) -> GraphCountTable:
@@ -127,8 +120,10 @@ def connected_counts(k_max: int, stats: dict | None = None) -> GraphCountTable:
     convolutions are recorded under "row_products" (all of them, here the g'
     recurrence) and "gprime_row_products" (the g' recurrence's share).
     """
+    stats = {} if stats is None else stats
     _check_kmax(k_max)
-    gp = _gprime_rows(k_max, _start_stats(stats))
+    gp, products = _gprime_rows(k_max)
+    stats["row_products"] = stats["gprime_row_products"] = products
     return GraphCountTable(k_max, _gprime_dict(gp))
 
 
@@ -140,10 +135,12 @@ def component_counts(k_max: int, stats: dict | None = None) -> GraphCountTable:
     stats, when given, is filled as in connected_counts; "row_products" then
     also counts the component recurrence.
     """
+    stats = {} if stats is None else stats
     _check_kmax(k_max)
-    stats = _start_stats(stats)
-    gp = _gprime_rows(k_max, stats)
-    g = _g_rows(k_max, gp, stats)
+    gp, gprime_products = _gprime_rows(k_max)
+    g, g_products = _g_rows(k_max, gp)
+    stats["row_products"] = gprime_products + g_products
+    stats["gprime_row_products"] = gprime_products
     g_dict = {
         (c, e, k): v
         for k, by_c in enumerate(g)

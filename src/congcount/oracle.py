@@ -78,7 +78,11 @@ def pattern_count(inst: CongruenceInstance, pattern: EqualityPattern) -> int:
     the coefficients merge into per-component sums and the reduced congruence
     is counted by lehmer_count.
     """
-    blocks = pattern_components(inst.k, pattern)
+    return _merged_count(inst, pattern_components(inst.k, pattern))
+
+
+def _merged_count(inst: CongruenceInstance, blocks) -> int:
+    """lehmer_count of the congruence with each block's coefficients merged into one variable."""
     merged = tuple(sum(inst.coeffs[i - 1] for i in block) for block in blocks)
     return lehmer_count(CongruenceInstance(merged, inst.b, inst.n))
 
@@ -96,10 +100,10 @@ def iep_edge_subsets(inst: CongruenceInstance, stats: dict | None = None) -> int
     dict is passed as stats, the subsets walked for this k are recorded under
     "edge_subsets" and the merged Lehmer counts under "partitions".
     """
+    stats = {} if stats is None else stats
     k = inst.k
     if k > inst.n:
-        if stats is not None:
-            stats["edge_subsets"] = stats["partitions"] = 0
+        stats["edge_subsets"] = stats["partitions"] = 0
         return 0
     if k > EDGE_SUBSET_MAX_K:
         raise ResourceLimitError(
@@ -107,14 +111,9 @@ def iep_edge_subsets(inst: CongruenceInstance, stats: dict | None = None) -> int
             "iep_partitions counts larger k"
         )
     signs = _edge_subset_signs(k)
-    coeffs, b, n = inst.coeffs, inst.b, inst.n
-    total = 0
-    for blocks, signed in signs:
-        merged = tuple(sum(coeffs[i - 1] for i in block) for block in blocks)
-        total += signed * lehmer_count(CongruenceInstance(merged, b, n))
-    if stats is not None:
-        stats["edge_subsets"] = 2 ** math.comb(k, 2)
-        stats["partitions"] = len(signs)
+    total = sum(signed * _merged_count(inst, blocks) for blocks, signed in signs)
+    stats["edge_subsets"] = 2 ** math.comb(k, 2)
+    stats["partitions"] = len(signs)
     return total
 
 
@@ -157,9 +156,9 @@ def iep_partitions(inst: CongruenceInstance, stats: dict | None = None) -> int:
     budget.  When a dict is passed as stats, the DP runs are recorded under
     "divisors" and the submask pairs they visit under "dp_steps".
     """
+    stats = {} if stats is None else stats
     k, n, b = inst.k, inst.n, inst.b
-    if stats is not None:
-        stats["divisors"] = stats["dp_steps"] = 0
+    stats["divisors"] = stats["dp_steps"] = 0
     if k > n:
         return 0
     ell = math.gcd(sum(inst.coeffs), n)
@@ -181,7 +180,10 @@ def iep_partitions(inst: CongruenceInstance, stats: dict | None = None) -> int:
             f"budget is {PARTITION_STEP_BUDGET}"
         )
     for d, g in divisors:
-        total += g * _partition_sum(inst.coeffs, n, d, stats)
+        z, steps = _partition_sum(inst.coeffs, n, d)
+        total += g * z
+        stats["dp_steps"] += steps
+    stats["divisors"] = len(divisors)
     if total % n:
         raise AssertionError(f"partition sum {total} is not a multiple of n for {inst}")
     return total // n
@@ -208,15 +210,15 @@ def _moebius_weights(pairs, b: int) -> list[tuple[int, int]]:
     return weighted
 
 
-def _partition_sum(coeffs, n: int, d: int, stats: dict | None) -> int:
-    """Z_d: the signed partition sum with every block sum divisible by d.
+def _partition_sum(coeffs, n: int, d: int) -> tuple[int, int]:
+    """(Z_d, steps): the signed partition sum with every block sum divisible by d.
 
     z[S] = sum over blocks B with low(S) in B, B subset of S, of
     wt(B) * z[S - B], where wt(B) = (-1)**(|B|-1) (|B|-1)! * n when d divides
     sum_B a and 0 otherwise.  Only states S with d | sum_S a are visited: z
     is 0 on the others, and the rest R = S - B of such a state has
     wt(B) != 0 exactly when d | sum_R a.  A visited S costs 2**(|S|-1) steps,
-    one per R.
+    one per R, and steps counts them.
     """
     k = len(coeffs)
     full = 1 << k
@@ -242,10 +244,7 @@ def _partition_sum(coeffs, n: int, d: int, stats: dict | None) -> int:
                 acc += wt[S ^ R] * z[R]
             R = (R - 1) & rest
         z[S] = acc
-    if stats is not None:
-        stats["divisors"] += 1
-        stats["dp_steps"] += steps
-    return z[full - 1]
+    return z[full - 1], steps
 
 
 def brute_force_distinct(inst: CongruenceInstance, stats: dict | None = None) -> int:
@@ -269,10 +268,10 @@ def brute_force_distinct(inst: CongruenceInstance, stats: dict | None = None) ->
     "tuples_evaluated" and the prefixes, counted as the walk visits them,
     under "prefixes".
     """
+    stats = {} if stats is None else stats
     k, n, b = inst.k, inst.n, inst.b
     if k > n:
-        if stats is not None:
-            stats["tuples_evaluated"] = stats["prefixes"] = 0
+        stats["tuples_evaluated"] = stats["prefixes"] = 0
         return 0
     if n ** k > TUPLE_BUDGET:
         raise ResourceLimitError(
@@ -306,7 +305,6 @@ def brute_force_distinct(inst: CongruenceInstance, stats: dict | None = None) ->
                 unused[residue[x]] += 1
 
         walk(0, b, list(range(n)))
-    if stats is not None:
-        stats["prefixes"] = prefixes
-        stats["tuples_evaluated"] = math.perm(n, k)
+    stats["prefixes"] = prefixes
+    stats["tuples_evaluated"] = math.perm(n, k)
     return total

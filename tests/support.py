@@ -1,13 +1,35 @@
-"""Independent brute-force oracles shared by the test suite.
+"""Independent brute-force oracles shared by the test suite, and a call recorder.
 
 Everything here enumerates directly, without reusing the library's recurrence
 or inclusion-exclusion code paths, so a test comparing against these helpers
 compares two genuinely different routes.
 """
 
+import inspect
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial, gcd
+
+
+def record_calls(monkeypatch, name, *modules):
+    """Rebind name in each module to a wrapper that records its calls, then calls the original.
+
+    The original is the first module's binding.  Returns the list of calls, each
+    a dict from parameter name to argument, defaults filled in.
+    """
+    original = getattr(modules[0], name)
+    signature = inspect.signature(original)
+    calls = []
+
+    def recorder(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, recorder)
+    return calls
 
 
 def component_blocks(k, edges):
@@ -134,11 +156,6 @@ def brute_distinct_histogram(coeffs, n):
     return hist
 
 
-def brute_distinct_count(coeffs, b, n):
-    """Distinct-coordinate solution count by unpruned product enumeration."""
-    return brute_distinct_histogram(coeffs, n)[b % n]
-
-
 def prefix_lookup_count(coeffs, b, n):
     """Distinct-coordinate solution count by permuted prefixes and a residue table.
 
@@ -225,24 +242,24 @@ def index_partitions(k):
     yield from place(1)
 
 
-def reference_iep_partitions(coeffs, b, n):
-    """Distinct-coordinate count as the signed sum over all Bell(k) set partitions.
+def reference_iep_partitions(coeffs, n):
+    """Distinct-coordinate counts for b = 0..n-1 as signed sums over all Bell(k) set partitions.
 
     Each partition merges its blocks' coefficients into one variable per block
     and weighs the merged congruence's unrestricted count
     l * n**(blocks - 1) * [l | b], l = gcd(block sums, n), by
-    prod over blocks of (-1)**(|B|-1) (|B|-1)!.
+    prod over blocks of (-1)**(|B|-1) (|B|-1)!.  Only [l | b] depends on b, so
+    the weighted counts are summed per l first.
     """
-    total = 0
+    by_ell = {}
     for blocks in index_partitions(len(coeffs)):
         weight = 1
         ell = n
         for block in blocks:
             weight *= (-1) ** (len(block) - 1) * factorial(len(block) - 1)
             ell = gcd(ell, sum(coeffs[i - 1] for i in block))
-        if b % ell == 0:
-            total += weight * ell * n ** (len(blocks) - 1)
-    return total
+        by_ell[ell] = by_ell.get(ell, 0) + weight * ell * n ** (len(blocks) - 1)
+    return [sum(total for ell, total in by_ell.items() if b % ell == 0) for b in range(n)]
 
 
 def trial_division_prime(n):

@@ -8,12 +8,15 @@ from importlib import import_module
 from math import comb, perm
 from pathlib import Path
 
+import pytest
+
 import congcount
-from congcount import cli, congruence, oracle
-from support import connected_graph_totals, reference_graph_tables
+from congcount import cli, congruence, graphenum, oracle
+from support import connected_graph_totals, record_calls, reference_graph_tables
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = README.with_name("pyproject.toml")
 
 
 def run_cli(capsys, argv):
@@ -314,6 +317,27 @@ def test_every_option_has_one_help_text(capsys, monkeypatch):
     assert "--beta=-" in helps["series"]["--beta"]
 
 
+def test_graph_table_help_reads_the_cap(capsys, monkeypatch):
+    monkeypatch.setattr(graphenum, "KMAX_CAP", 12)
+    code, out, _ = run_cli(capsys, ["graph-table", "--help"])
+    assert code == 0
+    assert option_help(out)["--kmax"] == "largest vertex count (1..12)"
+
+
+def test_console_script_entry_point(capsys, monkeypatch):
+    # the installed congcount command; a regex, since tomllib needs Python 3.11
+    text = PYPROJECT.read_text()
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", text, re.M | re.S)[1]
+    module, name = re.fullmatch(r'congcount = "([\w.]+):(\w+)"', scripts.strip()).groups()
+    entry = getattr(import_module(module), name)
+    monkeypatch.setattr(sys, "argv", ["congcount", *"count --n 5 --b 0 --coeffs 1,1,3".split()])
+    with pytest.raises(SystemExit) as excinfo:
+        entry()
+    assert excinfo.value.code == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("20\n", "method: formula\n")
+
+
 def test_repeated_invocations_are_byte_identical(capsys):
     outputs = {}
     for argv in (
@@ -349,15 +373,7 @@ def test_module_entry_point_runs_as_subprocess():
 
 
 def test_auto_count_scans_condition_once(capsys, monkeypatch):
-    calls = []
-    original = congruence.check_condition
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "check_condition", counting)
-    monkeypatch.setattr(congruence, "check_condition", counting)
+    calls = record_calls(monkeypatch, "check_condition", congruence, cli)
     code, out, err = run_cli(capsys, ["count", "--n", "5", "--b", "0", "--coeffs", "1,1,3"])
     assert (code, out, err) == (0, "20\n", "method: formula\n")
     assert len(calls) == 1

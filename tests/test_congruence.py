@@ -18,7 +18,8 @@ from congcount.congruence import (
 )
 from congcount.errors import HypothesisError, ResourceLimitError
 from support import (
-    brute_distinct_count,
+    brute_distinct_histogram,
+    record_calls,
     reference_condition,
     trial_division_prime,
     unit_histogram,
@@ -147,14 +148,7 @@ def test_check_condition_matches_subset_scan_random_wide():
 
 
 def test_check_condition_route_rule(monkeypatch):
-    scanned = []
-    original = congruence._scan_failing_subset
-
-    def recording(coeffs, n, *before):
-        scanned.append((len(coeffs), n))
-        return original(coeffs, n, *before)
-
-    monkeypatch.setattr(congruence, "_scan_failing_subset", recording)
+    scanned = record_calls(monkeypatch, "_scan_failing_subset", congruence)
     cases = [
         # (coeffs, n, scanned): k = 3 tries 8 divisors, which miss 37 in 37 * 41
         ((1, 2, 4), 37, False),
@@ -171,7 +165,8 @@ def test_check_condition_route_rule(monkeypatch):
                 check_condition(inst)
         else:
             assert _report_tuple(check_condition(inst)) == reference_condition(coeffs, 0, n)
-        assert scanned == ([(len(coeffs), n)] if scan else []), (coeffs, n)
+        shapes = [(len(call["coeffs"]), call["n"]) for call in scanned]
+        assert shapes == ([(len(coeffs), n)] if scan else []), (coeffs, n)
 
 
 def test_check_condition_scans_only_before_dp_witness(monkeypatch):
@@ -217,19 +212,9 @@ def test_check_condition_runs_the_dp_for_primes_found_before_an_unfactored_cofac
     # n = s * q * r with q, r primes above every trial divisor, so trial
     # division finds the primes of s and leaves q * r; those primes still get
     # the residue DP, and the scan stops at its witness
-    dp_primes, scans = [], []
-    first_zero_sum, scan = congruence._first_zero_sum_subset, congruence._scan_failing_subset
-
-    def recording_dp(coeffs, p):
-        dp_primes.append(p)
-        return first_zero_sum(coeffs, p)
-
-    def recording_scan(coeffs, n, before=None):
-        scans.append(before)
-        return scan(coeffs, n, before)
-
-    monkeypatch.setattr(congruence, "_first_zero_sum_subset", recording_dp)
-    monkeypatch.setattr(congruence, "_scan_failing_subset", recording_scan)
+    first_zero_sum = congruence._first_zero_sum_subset
+    dp_calls = record_calls(monkeypatch, "_first_zero_sum_subset", congruence)
+    scans = record_calls(monkeypatch, "_scan_failing_subset", congruence)
     rng = random.Random(5)
     for k in range(2, 10):
         # 2**k candidates reach no further than 2**(k+1) + 1
@@ -240,14 +225,16 @@ def test_check_condition_runs_the_dp_for_primes_found_before_an_unfactored_cofac
             n = s * q * r
             coeffs = [rng.choice((rng.randrange(n), 1, 2, 3, q, q * r)) for _ in range(k)]
             b = rng.randrange(n)
-            dp_primes.clear()
+            dp_calls.clear()
             scans.clear()
             rep = check_condition(CongruenceInstance(coeffs, b, n))
             assert _report_tuple(rep) == reference_condition(tuple(coeffs), b, n), (coeffs, n)
+            dp_primes = [call["p"] for call in dp_calls]
             assert dp_primes == [p for p, _ in factorize(s)], (coeffs, n)
             witnesses = [first_zero_sum(coeffs, p) for p in dp_primes]
             found = [w for w in witnesses if w is not None]
-            assert scans == [min(found, key=lambda w: (len(w), w), default=None)], (coeffs, n)
+            first = min(found, key=lambda w: (len(w), w), default=None)
+            assert [call["before"] for call in scans] == [first], (coeffs, n)
 
 
 def test_formula_examples():
@@ -284,9 +271,8 @@ def test_formula_agrees_with_enumeration_small_grid():
             for coeffs in product(range(1, n + 1), repeat=k):
                 if not check_condition(CongruenceInstance(coeffs, 0, n)).holds:
                     continue
-                for b in range(n):
-                    inst = CongruenceInstance(coeffs, b, n)
-                    assert distinct_count_formula(inst) == brute_distinct_count(coeffs, b, n)
+                for b, reference in enumerate(brute_distinct_histogram(coeffs, n)):
+                    assert distinct_count_formula(CongruenceInstance(coeffs, b, n)) == reference
 
 
 def _subset_condition_vector_exists(n, k):
@@ -332,7 +318,7 @@ def test_schoenemann_examples():
     assert schoenemann_count(5, (1, 1, 3)) == 20
     assert schoenemann_count(3, (1, 2)) == 0
     assert schoenemann_count(7, (1, 6)) == 0
-    assert schoenemann_count(5, (1, 1, 3)) == brute_distinct_count((1, 1, 3), 0, 5)
+    assert schoenemann_count(5, (1, 1, 3)) == brute_distinct_histogram((1, 1, 3), 5)[0]
 
 
 def test_schoenemann_preconditions():

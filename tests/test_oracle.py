@@ -17,11 +17,11 @@ from congcount.oracle import (
     pattern_count,
 )
 from support import (
-    brute_distinct_count,
     brute_distinct_histogram,
     component_blocks,
     index_partitions,
     prefix_lookup_count,
+    record_calls,
     reference_iep_partitions,
 )
 
@@ -109,17 +109,11 @@ def test_iep_edge_subsets_is_zero_when_k_exceeds_n():
 
 
 def test_iep_edge_subsets_one_lehmer_call_per_partition(monkeypatch):
-    calls = []
-
-    def counting(inst):
-        calls.append(inst)
-        return lehmer_count(inst)
-
-    monkeypatch.setattr(oracle, "lehmer_count", counting)
+    calls = record_calls(monkeypatch, "lehmer_count", oracle)
     coeffs, b, n = (1, 2, 2, 4, 6), 3, 8
     stats = {}
     assert iep_edge_subsets(CongruenceInstance(coeffs, b, n), stats=stats) == (
-        brute_distinct_count(coeffs, b, n)
+        brute_distinct_histogram(coeffs, n)[b]
     )
     assert len(calls) <= 52  # Bell(5), against 2**10 edge subsets
     assert stats == {"edge_subsets": 2**10, "partitions": len(calls)}
@@ -129,9 +123,8 @@ def test_iep_edge_subsets_and_brute_force_match_reference_at_k5():
     rng = random.Random("edge-subsets:5")
     for n, _ in product(range(5, 10), range(2)):
         coeffs = tuple(rng.randrange(n) for _ in range(5))
-        for b in range(n):
+        for b, reference in enumerate(brute_distinct_histogram(coeffs, n)):
             inst = CongruenceInstance(coeffs, b, n)
-            reference = brute_distinct_count(coeffs, b, n)
             edge_stats, brute_stats = {}, {}
             assert iep_edge_subsets(inst, stats=edge_stats) == reference, (coeffs, b, n)
             assert brute_force_distinct(inst, stats=brute_stats) == reference, (coeffs, b, n)
@@ -192,8 +185,7 @@ def test_iep_partitions_refuses_unfactored_gcd(monkeypatch):
 
 def test_iep_partitions_matches_reference_grid(exhaustive_grid):
     for coeffs, n, answers in exhaustive_grid:
-        for b, value in enumerate(answers["iep-partitions"]):
-            assert value == reference_iep_partitions(coeffs, b, n), (coeffs, b, n)
+        assert answers["iep-partitions"] == reference_iep_partitions(coeffs, n), (coeffs, n)
 
 
 def _random_vectors(rng, k):
@@ -219,24 +211,17 @@ def test_iep_partitions_matches_reference_random(k):
         b = rng.choice((0, rng.randrange(n), n // 2, n // 4))
         stats = {}
         inst = CongruenceInstance(coeffs, b, n)
-        assert iep_partitions(inst, stats=stats) == reference_iep_partitions(coeffs, b, n)
+        assert iep_partitions(inst, stats=stats) == reference_iep_partitions(coeffs, n)[b]
         assert stats["dp_steps"] <= stats["divisors"] * (3**k + 1) // 2
         if gcd(sum(coeffs), n) == 1:
             assert stats == {"divisors": 0, "dp_steps": 0}
 
 
 def test_iep_partitions_makes_no_lehmer_calls(monkeypatch):
-    calls = []
-
-    def counting(inst):
-        calls.append(inst)
-        return lehmer_count(inst)
-
-    monkeypatch.setattr(oracle, "lehmer_count", counting)
-    monkeypatch.setattr(congruence, "lehmer_count", counting)
+    calls = record_calls(monkeypatch, "lehmer_count", oracle, congruence)
     stats = {}
     assert iep_partitions(CongruenceInstance((1, 2, 3, 4, 2), 0, 12), stats=stats) == (
-        reference_iep_partitions((1, 2, 3, 4, 2), 0, 12)
+        reference_iep_partitions((1, 2, 3, 4, 2), 12)[0]
     )
     assert stats["divisors"] > 0
     assert calls == []

@@ -18,6 +18,25 @@ def test_coeff_access_and_trailing_zero_equality():
     assert p == SeriesPoly([1, 2])
     assert p != SeriesPoly([1, 2, 3])
     assert hash(p) == hash(SeriesPoly([1, 2, 0, 0]))
+    # a non-series is never equal: __eq__ defers, and Python falls back to identity
+    assert p.__eq__([1, 2]) is NotImplemented
+    assert p != [1, 2]
+    assert repr(SeriesPoly([1, F(1, 2), 0])) == "SeriesPoly([1, 1/2, 0])"
+
+
+def test_negative_orders_rejected():
+    p = SeriesPoly([1, 1])
+    for op in (
+        lambda: series.series_mul(p, p, -1),
+        lambda: series.series_pow(p, 2, -1),
+        lambda: series.series_log(p, -1),
+        lambda: series.deformed_exp_truncated(1, -1),
+    ):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            op()
+    for y_order, z_order in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match="orders must be >= 0"):
+            series.deformed_exp_bivariate(y_order, z_order)
 
 
 def test_series_mul_truncates():

@@ -61,6 +61,7 @@ def test_brute_force_shares_no_code_with_the_other_counters():
     others = {
         "lehmer_count",
         "pattern_count",
+        "_merged_count",
         "pattern_components",
         "iep_edge_subsets",
         "iep_partitions",
@@ -74,3 +75,37 @@ def test_brute_force_shares_no_code_with_the_other_counters():
     named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert "TUPLE_BUDGET" in named  # the walk saw the body
     assert named & others == set()
+
+
+def test_work_counts_are_recorded_one_way():
+    """Only the five public counters take stats, each makes it a dict once, and helpers return counts."""
+    counters = {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef) and "stats" in [a.arg for a in node.args.args]:
+                counters[node.name] = node
+    assert set(counters) == {
+        "brute_force_distinct", "iep_edge_subsets", "iep_partitions",
+        "connected_counts", "component_counts",
+    }
+    for name, node in counters.items():
+        # the first statement after the docstring, and no other test of stats against None
+        assert ast.unparse(node.body[1]) == "stats = {} if stats is None else stats", name
+        tests = [
+            ast.unparse(cmp) for cmp in ast.walk(node)
+            if isinstance(cmp, ast.Compare) and ast.unparse(cmp.left) == "stats"
+        ]
+        assert tests == ["stats is None"], name
+
+
+def test_one_function_counts_a_merged_congruence():
+    """The oracle module merges a partition's blocks in one helper, its only lehmer_count caller."""
+    tree = ast.parse(inspect.getsource(congcount.oracle))
+    callers = [
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "lehmer_count"
+    ]
+    assert callers == ["_merged_count"]
