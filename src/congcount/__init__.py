@@ -15,12 +15,9 @@ from types import ModuleType as _ModuleType
 
 from .arith import binomial, euler_phi, factorize, falling_factorial, gcd_many, is_prime
 from .congruence import (
-    METHODS,
     CongruenceInstance,
     ConditionReport,
-    auto_count,
     check_condition,
-    distinct_count,
     distinct_count_formula,
     lehmer_count,
     rademacher_brauer_count,
@@ -28,6 +25,7 @@ from .congruence import (
 )
 from .errors import HypothesisError, ResourceLimitError
 from .graphenum import GraphCountTable, component_counts, connected_counts
+from .methods import METHODS, auto_count, distinct_count
 from .oracle import (
     all_pairs,
     brute_force_distinct,

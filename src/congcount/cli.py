@@ -18,8 +18,9 @@ from fractions import Fraction
 from time import perf_counter
 
 from . import graphenum
-from .congruence import METHODS, CongruenceInstance, auto_count, check_condition, distinct_count
+from .congruence import CongruenceInstance, check_condition
 from .errors import HypothesisError, ResourceLimitError
+from .methods import METHODS, auto_count, distinct_count
 from .series import deformed_exp_truncated
 
 
@@ -207,6 +208,18 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit to lift
+        return _main(argv)
+    # exact counts and coefficients can run past the default 4300-digit int<->str limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv) -> int:
     t0 = perf_counter()
     try:
         args = _build_parser().parse_args(argv)

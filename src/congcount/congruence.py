@@ -1,6 +1,6 @@
 """Counting formulas for linear congruences a1*x1 + ... + ak*xk = b (mod n).
 
-Four counters live here, next to the one method dispatch:
+Four counters live here:
 
 * lehmer_count        -- unrestricted solutions: l * n**(k-1) when
                          l = gcd(a1, ..., ak, n) divides b, else 0.
@@ -23,9 +23,6 @@ scanned too, only those ordered before the DP primes' first witness if they
 found one; SUBSET_CAP bounds the work of both routes.
 distinct_count_formula refuses to answer when the condition fails, since no
 closed form is claimed in that regime (the oracle module still counts).
-
-distinct_count maps each name in METHODS to its counter, here or in the
-oracle module; auto_count picks the route the CLI uses by default.
 """
 
 import itertools
@@ -211,9 +208,10 @@ def distinct_count_formula(inst: CongruenceInstance) -> int:
     """
     report = check_condition(inst)
     if not report.holds:
+        subset = ", ".join(map(str, report.failing_subset))  # in index order, as check prints it
         raise HypothesisError(
-            "subset-sum gcd condition fails: coefficient subset "
-            f"{set(report.failing_subset)} sums to a non-unit mod {inst.n}",
+            f"subset-sum gcd condition fails: coefficient subset {{{subset}}} sums to a "
+            f"non-unit mod {inst.n}",
             report,
         )
     k = inst.k
@@ -278,36 +276,3 @@ def rademacher_brauer_count(n: int, k: int, b: int) -> int:
         raise AssertionError(f"non-integral count {value}")
     return int(value)
 
-
-METHODS = ("formula", "iep-edges", "iep-partitions", "brute")
-
-
-def distinct_count(inst: CongruenceInstance, method: str) -> int:
-    """Count by the named method, one of METHODS.
-
-    All methods agree wherever their preconditions overlap; the oracles also
-    accept instances the formula refuses.  Each counter is looked up through
-    its module when called, so a counter rebound there is the one that runs.
-    """
-    from . import oracle  # deferred: oracle imports from this module
-
-    counters = dict(zip(METHODS, (distinct_count_formula, oracle.iep_edge_subsets,
-                                  oracle.iep_partitions, oracle.brute_force_distinct)))
-    if method not in counters:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    return counters[method](inst)
-
-
-def auto_count(inst: CongruenceInstance) -> tuple[int, str]:
-    """Count by the first route that answers; returns (count, method name).
-
-    0 by pigeonhole when k > n (Z_n has no k distinct residues), else the
-    closed form, else iep-partitions when the formula's condition fails or
-    its condition check is over budget.
-    """
-    if inst.k > inst.n:
-        return 0, "pigeonhole"
-    try:
-        return distinct_count_formula(inst), "formula"
-    except (HypothesisError, ResourceLimitError):
-        return distinct_count(inst, "iep-partitions"), "iep-partitions"

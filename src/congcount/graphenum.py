@@ -24,6 +24,8 @@ the test suite sums both identities from them.
 from dataclasses import dataclass, field
 from math import comb
 
+from .errors import ResourceLimitError
+
 KMAX_CAP = 30
 
 
@@ -44,7 +46,8 @@ class GraphCountTable:
 
 def _check_kmax(k_max: int):
     if not 1 <= k_max <= KMAX_CAP:
-        raise ValueError(f"k_max = {k_max} outside allowed range 1..{KMAX_CAP}")
+        error = ValueError if k_max < 1 else ResourceLimitError
+        raise error(f"k_max = {k_max} outside allowed range 1..{KMAX_CAP}")
 
 
 def _convolve_into(acc: list[int], left: list[int], right: list[int], scale: int) -> int:
@@ -114,7 +117,8 @@ def _gprime_dict(gp: list[list[int]]) -> dict[tuple[int, int], int]:
 def connected_counts(k_max: int, stats: dict | None = None) -> GraphCountTable:
     """Table of g'(e, k) for 1 <= k <= k_max (component counts left empty).
 
-    k_max outside 1..KMAX_CAP, read when called, raises ValueError.
+    k_max < 1 raises ValueError; k_max above KMAX_CAP, read when called,
+    raises ResourceLimitError.
 
     When a dict is passed as stats, the coefficient products of the row
     convolutions are recorded under "row_products" (all of them, here the g'

@@ -2,8 +2,9 @@ from itertools import product
 
 import pytest
 
-from congcount.congruence import METHODS, CongruenceInstance, distinct_count
+from congcount.congruence import CongruenceInstance
 from congcount.errors import HypothesisError
+from congcount.methods import METHODS, distinct_count
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,6 @@ from time import perf_counter
 
 from congcount.arith import falling_factorial
 from congcount.congruence import (
-    METHODS,
     CongruenceInstance,
     check_condition,
     lehmer_count,
@@ -20,6 +19,7 @@ from congcount.congruence import (
     schoenemann_count,
 )
 from congcount.graphenum import component_counts
+from congcount.methods import METHODS
 from congcount.oracle import brute_force_distinct
 from congcount.series import (
     SeriesPoly,

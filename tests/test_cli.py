@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -99,6 +100,11 @@ TRANSCRIPTS = [
         ' "rows": [{"e": 0, "k": 1, "count": "1"}, {"e": 1, "k": 2, "count": "1"}]}\n', ""),
     ("series_output", "series --beta 0 --order 5", 0, "1\n1\n0\n0\n0\n0\n", ""),
     ("series_output_at_beta_2", "series --beta 2 --order 3", 0, "1\n1\n1\n4/3\n", ""),
+    # a3 + a40 = 9497, a prime: the refusal names the subset in index order, as check does
+    ("formula_refusal_names_the_subset_in_index_order",
+        f"count --n 9497 --b 0 --coeffs 1,1,5,{_repeat('1', 36)},9492,1 --method formula",
+        3, "", "error: precondition: subset-sum gcd condition fails: coefficient subset "
+        "{3, 40} sums to a non-unit mod 9497\n"),
     ("series_accepts_fractions", "series --beta 1/3 --order 2 --json --no-timing",
         0, '{"inputs": {"beta": "1/3", "order": 2}, "coefficients": ["1", "1", "1/6"]}\n', ""),
 ]
@@ -131,6 +137,24 @@ def test_readme_transcripts_are_rows():
 def test_readme_module_map_names_every_public_name():
     named = set(re.findall(r"`(\w+)`", _readme_section("Module map:", "Resource caps.")))
     assert sorted(set(congcount.__all__) - named) == []
+
+
+def test_readme_python_example_runs():
+    """Each expression of the README's python block with a "# value, ..." comment gives that value."""
+    block = re.search(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)[1]
+    lines = block.splitlines()
+    namespace = {}
+    got, shown = [], []
+    for statement in ast.parse(block).body:
+        code = ast.get_source_segment(block, statement)
+        _, comment_mark, comment = lines[statement.end_lineno - 1].partition("#")
+        if isinstance(statement, ast.Expr) and comment_mark:
+            got.append(repr(eval(code, namespace)))
+            shown.append(comment.split(",")[0].strip())
+        else:
+            exec(code, namespace)
+    assert shown
+    assert got == shown
 
 
 def test_readme_cap_values_are_the_constants():
@@ -224,7 +248,6 @@ def test_usage_errors_exit_two(capsys):
         ["count", "--n", "0", "--b", "0", "--coeffs", "1"],
         ["count", "--n", "x", "--b", "0", "--coeffs", "1"],
         ["graph-table", "--kmax", "0"],
-        ["graph-table", "--kmax", "31"],
         ["series", "--beta", "x", "--order", "3"],
         ["series", "--beta", "1/0", "--order", "3"],
         ["series", "--beta", "1", "--order", "-1"],
@@ -255,6 +278,8 @@ def test_resource_error_exits_four(capsys):
     assert err.startswith("error: resource: ")
     assert "10000000000" in err
     assert err.count("\n") == 1
+    code, out, err = run_cli(capsys, ["graph-table", "--kmax", "31"])
+    assert (code, out, err) == (4, "", "error: resource: k_max = 31 outside allowed range 1..30\n")
     # 25 coefficients: a prime modulus too large for the residue DP leaves the
     # 2**25 subset scan, past the cap, so the forced closed form is refused
     ones = ",".join(["1"] * 25)
@@ -370,6 +395,30 @@ def test_module_entry_point_runs_as_subprocess():
         )
         result = (proc.returncode, proc.stdout, proc.stderr)
         assert result == (0, "20\n", "method: formula\n"), flags
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int<->str digit limit before 3.10.7"
+)
+def test_exact_numbers_past_the_int_string_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    # 800 ones mod the prime 1000003: the condition holds, but its subset scan is over budget
+    instance = ["--n", "1000003", "--b", "0", "--coeffs", _repeat("1", 800)]
+    code, count, err = run_cli(capsys, ["count", *instance])
+    assert (code, err) == (0, "method: iep-partitions\n")
+    assert run_cli(capsys, ["oracle-compare", *instance])[0] == 0
+    code, out, err = run_cli(capsys, "series --beta 2 --order 200".split())
+    assert (code, out.count("\n"), err) == (0, 201, "")
+    big_b = "1" + "0" * 4999
+    argv = ["count", "--n", "7", "--b", big_b, "--coeffs", "1,1,3", "--json", "--no-timing"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, json.loads(out)["inputs"]["b"], err) == (0, str(pow(10, 4999, 7)), "")
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(count) == perm(1000002, 799)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_auto_count_scans_condition_once(capsys, monkeypatch):

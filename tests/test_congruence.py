@@ -8,15 +8,14 @@ from congcount import congruence
 from congcount.arith import factorize
 from congcount.congruence import (
     CongruenceInstance,
-    auto_count,
     check_condition,
-    distinct_count,
     distinct_count_formula,
     lehmer_count,
     rademacher_brauer_count,
     schoenemann_count,
 )
 from congcount.errors import HypothesisError, ResourceLimitError
+from congcount.methods import auto_count, distinct_count
 from support import (
     brute_distinct_histogram,
     record_calls,

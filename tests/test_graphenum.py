@@ -4,6 +4,7 @@ from math import comb, factorial
 import pytest
 
 from congcount import graphenum
+from congcount.errors import ResourceLimitError
 from support import alt_sum_all, alt_sum_connected, reference_graph_tables
 
 
@@ -132,9 +133,9 @@ def test_alt_sum_all_closed_form(table12):
 def test_kmax_range_enforced(monkeypatch):
     with pytest.raises(ValueError):
         graphenum.connected_counts(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ResourceLimitError):
         graphenum.connected_counts(31)
-    with pytest.raises(ValueError):
+    with pytest.raises(ResourceLimitError):
         graphenum.component_counts(31)
     monkeypatch.setattr(graphenum, "KMAX_CAP", 31)
     graphenum.connected_counts(31)  # KMAX_CAP is read when called

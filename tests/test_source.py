@@ -18,7 +18,7 @@ def test_package_has_no_assert_statements():
 
 
 def test_cli_imports_nothing_from_the_oracle_module():
-    """Methods are dispatched by congruence.distinct_count alone, so no second list grows in cli.py."""
+    """Methods are dispatched by methods.distinct_count alone, so no second list grows in cli.py."""
     imported = []
     for node in ast.walk(ast.parse((PACKAGE_DIR / "cli.py").read_text())):
         if isinstance(node, ast.ImportFrom):
@@ -26,6 +26,32 @@ def test_cli_imports_nothing_from_the_oracle_module():
         elif isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
     assert [name for name in imported if name.rsplit(".", 1)[-1] == "oracle"] == []
+
+
+def test_modules_import_downward_only():
+    """The package's relative imports, deferred ones in functions too, form no cycle."""
+    modules = {path.stem for path in PACKAGE_DIR.glob("*.py")}
+    imports = {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        targets = set()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                # "from .m import x" imports m; "from . import m" imports each module named
+                names = [node.module] if node.module else [alias.name for alias in node.names]
+                targets |= {name.split(".")[0] for name in names} & modules
+        imports[path.stem] = sorted(targets)
+
+    def cycle_from(module, path):
+        if module in path:
+            return path[path.index(module) :] + [module]
+        for target in imports[module]:
+            found = cycle_from(target, path + [module])
+            if found:
+                return found
+        return None
+
+    cycle = next(filter(None, (cycle_from(module, []) for module in sorted(imports))), None)
+    assert cycle is None, " → ".join(cycle)
 
 
 def test_no_public_callable_takes_a_cap():
