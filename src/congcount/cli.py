@@ -13,7 +13,7 @@ as decimal strings.
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from time import perf_counter
 
@@ -52,12 +52,8 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-@dataclass
-class _Result:
-    human: list[str]
-    doc: dict
-    notes: list[str] = field(default_factory=list)
-    errors: list[str] = field(default_factory=list)  # each one makes the exit code 1
+# human and notes are lines for stdout and stderr; each error makes the exit code 1
+_Result = namedtuple("_Result", "human doc notes errors", defaults=((), ()))
 
 
 def _instance(args) -> tuple[CongruenceInstance, dict]:

@@ -27,7 +27,7 @@ closed form is claimed in that regime (the oracle module still counts).
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .arith import euler_phi, factor_partially, factorize, falling_factorial, is_prime
@@ -36,34 +36,31 @@ from .errors import HypothesisError, ResourceLimitError
 SUBSET_CAP = 24
 
 
-@dataclass(frozen=True)
-class CongruenceInstance:
+class CongruenceInstance(namedtuple("CongruenceInstance", "coeffs b n")):
     """One congruence a1*x1 + ... + ak*xk = b (mod n).
 
     Coefficients and b are reduced into [0, n) on construction; every count
     below depends only on residues, so the reduced form is canonical.
     """
 
-    coeffs: tuple[int, ...]
-    b: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        coeffs = tuple(self.coeffs)
+    def __new__(cls, coeffs, b, n):
+        coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("at least one coefficient is required")
-        if self.n < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.n}")
-        object.__setattr__(self, "coeffs", tuple(a % self.n for a in coeffs))
-        object.__setattr__(self, "b", self.b % self.n)
+        if n < 1:
+            raise ValueError(f"modulus must be >= 1, got {n}")
+        return super().__new__(cls, tuple(a % n for a in coeffs), b % n, n)
+
+    _make = classmethod(lambda cls, it: cls(*it))  # so that _replace reduces too
 
     @property
     def k(self) -> int:
         return len(self.coeffs)
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(namedtuple("ConditionReport", "holds failing_subset full_sum_gcd divides_b")):
     """Verdict and witnesses for the subset-sum gcd condition.
 
     failing_subset holds 1-based indices of the first (by size, then
@@ -73,10 +70,7 @@ class ConditionReport:
     divides b.
     """
 
-    holds: bool
-    failing_subset: tuple[int, ...] | None
-    full_sum_gcd: int
-    divides_b: bool
+    __slots__ = ()
 
 
 def lehmer_count(inst: CongruenceInstance) -> int:

@@ -21,7 +21,7 @@ log(1+z) and (1+z)**n.  A table is plain data read through its two dicts;
 the test suite sums both identities from them.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import comb
 
 from .errors import ResourceLimitError
@@ -29,8 +29,7 @@ from .errors import ResourceLimitError
 KMAX_CAP = 30
 
 
-@dataclass(frozen=True)
-class GraphCountTable:
+class GraphCountTable(namedtuple("GraphCountTable", "k_max gprime g")):
     """The counts g'(e, k) and, optionally, g(c, e, k) for 1 <= k <= k_max.
 
     gprime maps (e, k) to g'(e, k) and g maps (c, e, k) to g(c, e, k).  Only
@@ -39,9 +38,7 @@ class GraphCountTable:
     Each builder call returns new dicts, which the caller may change.
     """
 
-    k_max: int
-    gprime: dict[tuple[int, int], int]
-    g: dict[tuple[int, int, int], int] = field(default_factory=dict)
+    __slots__ = ()
 
 
 def _check_kmax(k_max: int):
@@ -128,7 +125,7 @@ def connected_counts(k_max: int, stats: dict | None = None) -> GraphCountTable:
     _check_kmax(k_max)
     gp, products = _gprime_rows(k_max)
     stats["row_products"] = stats["gprime_row_products"] = products
-    return GraphCountTable(k_max, _gprime_dict(gp))
+    return GraphCountTable(k_max, _gprime_dict(gp), {})
 
 
 def component_counts(k_max: int, stats: dict | None = None) -> GraphCountTable:

@@ -31,7 +31,7 @@ instances the closed form refuses.
 import functools
 import itertools
 import math
-from typing import Iterable
+from collections.abc import Iterable
 
 from .arith import factor_partially, falling_factorial
 from .congruence import CongruenceInstance, lehmer_count

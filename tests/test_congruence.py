@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import permutations, product
 from math import gcd, perm
@@ -38,6 +40,27 @@ def test_instance_validation():
         CongruenceInstance((), 0, 5)
     with pytest.raises(ValueError):
         CongruenceInstance((1,), 0, 0)
+
+
+def test_instance_is_a_frozen_value():
+    inst = CongruenceInstance((1, 1, 3), b=0, n=5)
+    assert repr(CongruenceInstance((-1, 7), 8, 5)) == "CongruenceInstance(coeffs=(4, 2), b=3, n=5)"
+    with pytest.raises(AttributeError):
+        inst.b = 1
+    same = CongruenceInstance((6, 11, -2), 5, 5)
+    assert same == inst and hash(same) == hash(inst)
+    for twin in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst)):
+        assert type(twin) is CongruenceInstance and twin == inst
+
+
+def test_instance_replace_and_make_reduce():
+    inst = CongruenceInstance((1, 1, 3), 0, 5)
+    assert inst._replace(b=-1) == CongruenceInstance((1, 1, 3), 4, 5)
+    assert CongruenceInstance._make(((6, -1), 7, 5)) == CongruenceInstance((1, 4), 2, 5)
+    with pytest.raises(ValueError):
+        CongruenceInstance._make(((1,), 0, 0))
+    with pytest.raises(ValueError):
+        inst._replace(coeffs=())
 
 
 def test_lehmer_examples():

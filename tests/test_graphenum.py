@@ -31,6 +31,13 @@ def test_connected_rows_equal_reference_dicts_in_order(reference14):
         assert table.g == {}
 
 
+def test_each_table_owns_its_dicts():
+    # a shared default dict would let one caller's change reach every table
+    first, second = graphenum.connected_counts(3), graphenum.connected_counts(3)
+    assert first == second
+    assert first.gprime is not second.gprime and first.g is not second.g
+
+
 def test_component_rows_equal_reference_dicts_in_order(reference14):
     gp, g = reference14
     for k_max in range(1, 13):

@@ -1,6 +1,7 @@
 import ast
-import dataclasses
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import congcount
@@ -70,16 +71,34 @@ def test_no_public_callable_takes_a_cap():
 def test_graph_table_is_plain_data():
     """A graph table is read through its dicts alone: three fields, nothing else in the class body."""
     table_class = congcount.GraphCountTable
-    assert [f.name for f in dataclasses.fields(table_class)] == ["k_max", "gprime", "g"]
+    assert table_class._fields == ("k_max", "gprime", "g")
     tree = ast.parse(inspect.getsource(table_class))
-    # only the docstring (an expression) and annotated fields: no def, property or assignment
+    # only the docstring (an expression) and __slots__ = (): no def, property or other assignment
     body = tree.body[0].body
     extra = [
-        getattr(node, "name", type(node).__name__)
+        getattr(node, "name", ast.unparse(node))
         for node in body
-        if not isinstance(node, (ast.AnnAssign, ast.Expr))
+        if not isinstance(node, ast.Expr) and ast.unparse(node) != "__slots__ = ()"
     ]
     assert extra == []
+
+
+def test_cli_start_up_skips_introspection_modules():
+    """A fresh `import congcount.cli` loads neither dataclasses nor typing, nor what they import.
+
+    -I ignores PYTHONPATH and -S skips site, whose .pth files may load typing themselves.
+    """
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+        "import congcount.cli; print(*sorted(set(sys.modules) - before))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(PACKAGE_DIR.parent)],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    loaded = set(done.stdout.split())
+    assert "congcount.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"} == set()
 
 
 def test_brute_force_shares_no_code_with_the_other_counters():
