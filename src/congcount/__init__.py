@@ -41,7 +41,6 @@ from .series import (
     bivar_pow,
     deformed_exp_bivariate,
     deformed_exp_truncated,
-    rr_series_term,
     series_log,
     series_mul,
     series_pow,

@@ -3,11 +3,11 @@
 One engine does the arithmetic: bivariate truncations, grids indexed
 [e][m] by y-degree e and z-degree m, with multiply, integer powers (by
 repeated squaring) and log (by the recurrence from (log a)' a = a').  The
-univariate SeriesPoly operations run on that engine as one-row grids.
-Alongside sit the deformed exponential series sum_m alpha**m * beta**C(m,2)
-/ m! in one and two variables, and the three-variable Rogers-Ramanujan term
-with q-factorial denominators.  The two-variable identities are checked
-against the graph tables.
+univariate SeriesPoly operations run on that engine as one-row grids.  The
+one truncated product of y-polynomials is _add_product; bivar_mul and
+bivar_log are its only callers.  Alongside sit the deformed exponential
+series sum_m alpha**m * beta**C(m,2) / m! in one and two variables, whose
+two-variable identities are checked against the graph tables.
 
 All coefficients are fractions.Fraction; floating point never enters.
 """
@@ -83,25 +83,6 @@ def deformed_exp_truncated(beta, order: int) -> SeriesPoly:
     return SeriesPoly([beta ** comb(m, 2) / factorial(m) for m in range(order + 1)])
 
 
-def rr_series_term(m: int, alpha, beta, q) -> Fraction:
-    """The m-th term of the three-variable Rogers-Ramanujan series.
-
-    Returns alpha**m * beta**C(m,2) divided by the q-factorial product
-    (1+q)(1+q+q**2)...(1+q+...+q**(m-1)); the product is empty (= 1) for
-    m in {0, 1}.  At q = 1 the denominator is m!, recovering the deformed
-    exponential term.
-    """
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    alpha, beta, q = Fraction(alpha), Fraction(beta), Fraction(q)
-    denom = Fraction(1)
-    for i in range(1, m):
-        denom *= sum((q ** j for j in range(i + 1)), Fraction(0))
-    if denom == 0:
-        raise ValueError(f"q-factorial denominator vanishes at q = {q}, m = {m}")
-    return alpha ** m * beta ** comb(m, 2) / denom
-
-
 # --- bivariate truncations -------------------------------------------------
 #
 # A bivariate truncation is a rectangular grid of Fractions: entry [e][m] is
@@ -121,30 +102,33 @@ def deformed_exp_bivariate(y_order: int, z_order: int) -> list[list[Fraction]]:
     ]
 
 
-def _bivar_shape(a):
-    if not a or any(len(row) != len(a[0]) for row in a):
-        raise ValueError("a bivariate grid needs at least one row, all of the same length")
-    return len(a) - 1, len(a[0]) - 1
+def _columns(*grids):
+    """Each grid's columns, the y-polynomials; all grids must share one rectangular shape."""
+    for a in grids:
+        if not a or any(len(row) != len(a[0]) for row in a):
+            raise ValueError("a bivariate grid needs at least one row, all of the same length")
+    if len({(len(a), len(a[0])) for a in grids}) > 1:
+        raise ValueError("bivariate operands must share a shape")
+    return [list(zip(*a)) for a in grids]
+
+
+def _add_product(acc, p, q):
+    """acc += p * q for y-polynomials p and q, truncated at acc's length."""
+    for e1, x in enumerate(p):
+        if x:
+            for e2 in range(len(acc) - e1):
+                if q[e2]:
+                    acc[e1 + e2] += x * q[e2]
 
 
 def bivar_mul(a, b) -> list[list[Fraction]]:
     """Product of two same-shape bivariate truncations, truncated to that shape."""
-    if _bivar_shape(a) != _bivar_shape(b):
-        raise ValueError("bivariate operands must share a shape")
-    ey, ez = _bivar_shape(a)
-    out = [[Fraction(0)] * (ez + 1) for _ in range(ey + 1)]
-    for e1 in range(ey + 1):
-        for m1 in range(ez + 1):
-            c = a[e1][m1]
-            if not c:
-                continue
-            for e2 in range(ey + 1 - e1):
-                row_b = b[e2]
-                row_out = out[e1 + e2]
-                for m2 in range(ez + 1 - m1):
-                    if row_b[m2]:
-                        row_out[m1 + m2] += c * row_b[m2]
-    return out
+    cols_a, cols_b = _columns(a, b)
+    out = [[Fraction(0)] * len(a) for _ in cols_a]
+    for m1, p in enumerate(cols_a):
+        for m2 in range(len(cols_a) - m1):
+            _add_product(out[m1 + m2], p, cols_b[m2])
+    return [[col[e] for col in out] for e in range(len(a))]
 
 
 def bivar_pow(a, exponent: int) -> list[list[Fraction]]:
@@ -154,7 +138,7 @@ def bivar_pow(a, exponent: int) -> list[list[Fraction]]:
     out = None
     while True:
         if exponent & 1:
-            out = [row[:] for row in a] if out is None else bivar_mul(out, a)
+            out = [[Fraction(c) for c in row] for row in a] if out is None else bivar_mul(out, a)
         exponent >>= 1
         if not exponent:
             return out
@@ -171,21 +155,16 @@ def bivar_log(a) -> list[list[Fraction]]:
 
     each product a y-polynomial truncated at the grid's y-order.
     """
-    ey, ez = _bivar_shape(a)
-    cols = [[row[m] for row in a] for m in range(ez + 1)]
-    if cols[0] != [1] + [0] * ey:
+    (cols,) = _columns(a)
+    ey = len(a) - 1
+    if cols[0] != (1,) + (0,) * ey:
         raise ValueError("log requires the z-constant coefficient to be exactly 1")
-    scaled = [None]  # scaled[j] = j * L_j
-    for m in range(1, ez + 1):
-        fm = Fraction(m)
-        acc = [fm * c for c in cols[m]]
+    neg = [None]  # neg[j] = -j * L_j, so the sum above is added, not subtracted
+    out = [[Fraction(0)] * (ey + 1)]
+    for m in range(1, len(cols)):
+        acc = [Fraction(m) * c for c in cols[m]]
         for j in range(1, m):
-            col = cols[m - j]
-            for e1, x in enumerate(scaled[j]):
-                if not x:
-                    continue
-                for e2 in range(ey + 1 - e1):
-                    if col[e2]:
-                        acc[e1 + e2] -= x * col[e2]
-        scaled.append(acc)
-    return [[Fraction(0)] + [scaled[m][e] / m for m in range(1, ez + 1)] for e in range(ey + 1)]
+            _add_product(acc, neg[j], cols[m - j])
+        neg.append([-x for x in acc])
+        out.append([x / m for x in acc])
+    return [[col[e] for col in out] for e in range(ey + 1)]

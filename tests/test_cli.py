@@ -135,8 +135,23 @@ def test_readme_transcripts_are_rows():
 
 
 def test_readme_module_map_names_every_public_name():
-    named = set(re.findall(r"`(\w+)`", _readme_section("Module map:", "Resource caps.")))
+    """The map names every public name, and each name a row lists outside parentheses is in its module."""
+    section = _readme_section("Module map:", "Resource caps.")
+    named = set(re.findall(r"`(\w+)`", section))
     assert sorted(set(congcount.__all__) - named) == []
+    rows = re.findall(r"^\| `(congcount\.\w+)` *\|(.*)\|$", section, re.M)
+    assert rows
+    missing = []
+    for module, contents in rows:
+        # strip the innermost (...) groups until none is left; code spans such as `C(k,2)` balance
+        while re.search(r"\([^()]*\)", contents):
+            contents = re.sub(r"\([^()]*\)", "", contents)
+        missing += [
+            f"{module}.{name}"
+            for name in re.findall(r"`(\w+)`", contents)
+            if not hasattr(import_module(module), name)
+        ]
+    assert missing == []
 
 
 def test_readme_python_example_runs():

@@ -92,31 +92,6 @@ def test_deformed_exp_term_definition():
         assert poly.coeff(m) == beta ** comb(m, 2) / factorial(m)
 
 
-def test_rr_series_term_examples():
-    for args in ((0, 1, 1, 1), (0, 5, -2, F(1, 3))):
-        assert series.rr_series_term(*args) == 1
-    assert series.rr_series_term(2, 1, 1, 1) == F(1, 2)
-    assert series.rr_series_term(3, 1, 2, 1) == F(8, 6)
-
-
-def test_rr_series_term_at_q_one_matches_deformed_exp():
-    alpha, beta = F(2), F(3, 2)
-    poly = series.deformed_exp_truncated(beta, 6)
-    for m in range(7):
-        assert series.rr_series_term(m, alpha, beta, 1) == alpha ** m * poly.coeff(m)
-
-
-def test_rr_series_term_zero_denominator_rejected():
-    assert series.rr_series_term(1, 1, 1, -1) == 1  # empty product, still fine
-    with pytest.raises(ValueError):
-        series.rr_series_term(2, 1, 1, -1)
-
-
-def test_rr_series_term_negative_m_rejected():
-    with pytest.raises(ValueError):
-        series.rr_series_term(-1, 1, 1, 1)
-
-
 def test_bivariate_entries_match_definition():
     grid = series.deformed_exp_bivariate(4, 5)
     for e in range(5):
@@ -173,6 +148,18 @@ def _random_grid(rng, y_order, z_order):
 
 def _with_unit_column(grid):
     return [[Fraction(e == 0)] + row[1:] for e, row in enumerate(grid)]
+
+
+def test_every_operation_gives_fractions_on_integer_input():
+    """All coefficients are Fractions, whatever the input's number type and the exponent."""
+    grid = [[1, 2, 3], [0, 1, 1]]
+    p = SeriesPoly([1, 2, 3])
+    grids = [series.bivar_mul(grid, grid), series.bivar_log(grid), series.deformed_exp_bivariate(2, 3)]
+    grids += [series.bivar_pow(grid, t) for t in EXPONENTS]
+    polys = [series.series_mul(p, p, 3), series.series_log(p, 3), series.deformed_exp_truncated(2, 3)]
+    polys += [series.series_pow(p, t, 3) for t in EXPONENTS]
+    entries = [x for g in grids for row in g for x in row] + [x for q in polys for x in q.coeffs]
+    assert [x for x in entries if type(x) is not Fraction] == []
 
 
 @pytest.mark.parametrize("y_order", [0, 1, 3])

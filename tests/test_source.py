@@ -57,14 +57,17 @@ def test_modules_import_downward_only():
 
 def test_no_public_callable_takes_a_cap():
     """Each resource cap is a module constant its counter reads when called, never a parameter."""
-    found = []
+    found, checked = [], set()
     for name in congcount.__all__:
         obj = getattr(congcount, name)
-        # a class is checked through its __init__; one inherited from a builtin has none to check
-        fn = obj.__init__ if isinstance(obj, type) else obj
-        if inspect.isfunction(fn):
-            params = inspect.signature(fn).parameters
-            found += [f"{name}({p})" for p in params if p in ("cap", "budget")]
+        # a class is checked through its __init__ and its __new__, which the named-tuple records
+        # define instead; one inherited from a builtin is no Python function and has none to check
+        for fn in (obj.__init__, obj.__new__) if isinstance(obj, type) else (obj,):
+            if inspect.isfunction(fn):
+                checked.add(name)
+                params = inspect.signature(fn).parameters
+                found += [f"{name}({p})" for p in params if p in ("cap", "budget")]
+    assert {"CongruenceInstance", "ConditionReport", "GraphCountTable"} <= checked
     assert found == []
 
 
@@ -154,3 +157,30 @@ def test_one_function_counts_a_merged_congruence():
         if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "lehmer_count"
     ]
     assert callers == ["_merged_count"]
+
+
+def test_one_function_accumulates_series_products():
+    """series.py writes the truncated product once, and only bivar_mul and bivar_log call it.
+
+    Accumulating means an augmented assignment to a subscript inside a for loop.
+    """
+    tree = ast.parse(inspect.getsource(congcount.series))
+    functions = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+    accumulating = [
+        fn.name
+        for fn in functions
+        if any(
+            isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Subscript)
+            for loop in ast.walk(fn)
+            if isinstance(loop, ast.For)
+            for node in ast.walk(loop)
+        )
+    ]
+    callers = [
+        fn.name
+        for fn in functions
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_add_product"
+    ]
+    assert accumulating == ["_add_product"]
+    assert callers == ["bivar_mul", "bivar_log"]
