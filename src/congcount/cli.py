@@ -238,7 +238,3 @@ def _main(argv) -> int:
     for err in result.errors:
         print(err, file=sys.stderr)
     return 1 if result.errors else 0
-
-
-def entrypoint():
-    sys.exit(main())

@@ -29,6 +29,7 @@ import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
+from operator import index
 
 from .arith import euler_phi, factor_partially, factorize, falling_factorial, is_prime
 from .errors import HypothesisError, ResourceLimitError
@@ -36,10 +37,19 @@ from .errors import HypothesisError, ResourceLimitError
 SUBSET_CAP = 24
 
 
+def _integer(x):
+    """x as an int, through operator.index; a float, string or Fraction is refused."""
+    try:
+        return index(x)
+    except TypeError:
+        raise TypeError(f"coefficients, b and n must be integers, got {x!r}") from None
+
+
 class CongruenceInstance(namedtuple("CongruenceInstance", "coeffs b n")):
     """One congruence a1*x1 + ... + ak*xk = b (mod n).
 
-    Coefficients and b are reduced into [0, n) on construction; every count
+    Coefficients, b and n must be integers (anything operator.index takes);
+    coefficients and b are reduced into [0, n) on construction; every count
     below depends only on residues, so the reduced form is canonical.
     """
 
@@ -49,9 +59,10 @@ class CongruenceInstance(namedtuple("CongruenceInstance", "coeffs b n")):
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("at least one coefficient is required")
+        n = _integer(n)
         if n < 1:
             raise ValueError(f"modulus must be >= 1, got {n}")
-        return super().__new__(cls, tuple(a % n for a in coeffs), b % n, n)
+        return super().__new__(cls, tuple(_integer(a) % n for a in coeffs), _integer(b) % n, n)
 
     _make = classmethod(lambda cls, it: cls(*it))  # so that _replace reduces too
 

@@ -3,13 +3,16 @@
 One engine does the arithmetic: bivariate truncations, grids indexed
 [e][m] by y-degree e and z-degree m, with multiply, integer powers (by
 repeated squaring) and log (by the recurrence from (log a)' a = a').  The
-univariate SeriesPoly operations run on that engine as one-row grids.  The
-one truncated product of y-polynomials is _add_product; bivar_mul and
-bivar_log are its only callers.  Alongside sit the deformed exponential
-series sum_m alpha**m * beta**C(m,2) / m! in one and two variables, whose
-two-variable identities are checked against the graph tables.
+univariate SeriesPoly operations run on that engine as one-row grids.  Every
+grid enters through one door, _columns, which checks its shape and makes
+each entry an exact Fraction.  The one truncated product of y-polynomials
+is _add_product; bivar_mul and bivar_log are its only callers.  Alongside
+sit the deformed exponential series sum_m alpha**m * beta**C(m,2) / m! in
+one and two variables, whose two-variable identities are checked against
+the graph tables.
 
-All coefficients are fractions.Fraction; floating point never enters.
+All coefficients are fractions.Fraction.  A float entry is read as the exact
+binary fraction it stores, so no floating-point arithmetic happens.
 """
 
 from fractions import Fraction
@@ -85,8 +88,9 @@ def deformed_exp_truncated(beta, order: int) -> SeriesPoly:
 
 # --- bivariate truncations -------------------------------------------------
 #
-# A bivariate truncation is a rectangular grid of Fractions: entry [e][m] is
-# the coefficient of y**e z**m.  All operations truncate at the grid's shape.
+# A bivariate truncation is a rectangular grid: entry [e][m] is the
+# coefficient of y**e z**m.  Entries may be ints, Fractions or floats; the
+# results are Fractions.  All operations truncate at the grid's shape.
 
 
 def deformed_exp_bivariate(y_order: int, z_order: int) -> list[list[Fraction]]:
@@ -103,13 +107,19 @@ def deformed_exp_bivariate(y_order: int, z_order: int) -> list[list[Fraction]]:
 
 
 def _columns(*grids):
-    """Each grid's columns, the y-polynomials; all grids must share one rectangular shape."""
+    """Each grid's columns, the y-polynomials, every entry made an exact Fraction.
+
+    The one door into the engine: every bivar_* operation reads its grids
+    here, so all grids must share one rectangular shape of at least one row
+    and one column.
+    """
     for a in grids:
-        if not a or any(len(row) != len(a[0]) for row in a):
+        if not a or not a[0] or any(len(row) != len(a[0]) for row in a):
             raise ValueError("a bivariate grid needs at least one row, all of the same length")
     if len({(len(a), len(a[0])) for a in grids}) > 1:
         raise ValueError("bivariate operands must share a shape")
-    return [list(zip(*a)) for a in grids]
+    return [[tuple(x if type(x) is Fraction else Fraction(x) for x in col) for col in zip(*a)]
+            for a in grids]
 
 
 def _add_product(acc, p, q):
@@ -132,17 +142,15 @@ def bivar_mul(a, b) -> list[list[Fraction]]:
 
 
 def bivar_pow(a, exponent: int) -> list[list[Fraction]]:
-    """a raised to a positive integer power, by repeated squaring."""
+    """a raised to a positive integer power, by squaring from the top bit."""
     if exponent < 1:
         raise ValueError(f"exponent must be a positive integer, got {exponent}")
-    out = None
-    while True:
-        if exponent & 1:
-            out = [[Fraction(c) for c in row] for row in a] if out is None else bivar_mul(out, a)
-        exponent >>= 1
-        if not exponent:
-            return out
-        a = bivar_mul(a, a)
+    a = out = [list(row) for row in zip(*_columns(a)[0])]
+    for bit in bin(exponent)[3:]:
+        out = bivar_mul(out, out)
+        if bit == "1":
+            out = bivar_mul(out, a)
+    return out
 
 
 def bivar_log(a) -> list[list[Fraction]]:
@@ -162,7 +170,7 @@ def bivar_log(a) -> list[list[Fraction]]:
     neg = [None]  # neg[j] = -j * L_j, so the sum above is added, not subtracted
     out = [[Fraction(0)] * (ey + 1)]
     for m in range(1, len(cols)):
-        acc = [Fraction(m) * c for c in cols[m]]
+        acc = [m * c for c in cols[m]]
         for j in range(1, m):
             _add_product(acc, neg[j], cols[m - j])
         neg.append([-x for x in acc])

@@ -371,8 +371,9 @@ def test_console_script_entry_point(capsys, monkeypatch):
     module, name = re.fullmatch(r'congcount = "([\w.]+):(\w+)"', scripts.strip()).groups()
     entry = getattr(import_module(module), name)
     monkeypatch.setattr(sys, "argv", ["congcount", *"count --n 5 --b 0 --coeffs 1,1,3".split()])
+    # the generated script runs sys.exit(entry()), so entry reads sys.argv and returns the code
     with pytest.raises(SystemExit) as excinfo:
-        entry()
+        sys.exit(entry())
     assert excinfo.value.code == 0
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("20\n", "method: formula\n")

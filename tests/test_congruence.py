@@ -1,6 +1,8 @@
 import copy
 import pickle
 import random
+import re
+from fractions import Fraction
 from itertools import permutations, product
 from math import gcd, perm
 
@@ -40,6 +42,18 @@ def test_instance_validation():
         CongruenceInstance((), 0, 5)
     with pytest.raises(ValueError):
         CongruenceInstance((1,), 0, 0)
+    # every field must be an integer; the error names the value
+    for coeffs, b, n, bad in (
+        ((1, 1, 3), 0.5, 5, "0.5"),
+        ((1, 1, 3), 0, 5.0, "5.0"),
+        ((1, "2", 3), 0, 5, "'2'"),
+        ((1, Fraction(1), 3), 0, 5, "Fraction(1, 1)"),
+    ):
+        with pytest.raises(TypeError, match=re.escape(f"must be integers, got {bad}")):
+            CongruenceInstance(coeffs, b, n)
+    with pytest.raises(TypeError, match="got 0.5"):
+        CongruenceInstance((1, 1, 3), 0, 5)._replace(b=0.5)
+    assert CongruenceInstance((True, 7), 2, 5).coeffs == (1, 2)
 
 
 def test_instance_is_a_frozen_value():

@@ -6,7 +6,7 @@ import pytest
 
 from congcount import series
 from congcount.series import SeriesPoly
-from support import reference_grid_log, reference_grid_mul, reference_grid_pow
+from support import record_calls, reference_grid_log, reference_grid_mul, reference_grid_pow
 
 F = Fraction
 
@@ -121,21 +121,36 @@ def test_bivar_mul_shape_mismatch_rejected():
         series.bivar_mul(a, b)
 
 
+EXPONENTS = (1, 2, 3, 8, 9)
+
+
 def test_bivar_ops_reject_ragged_grids():
-    # z-constant column (1, 0), so only the ragged rows are wrong
-    for grid in ([[F(1), F(2)], [F(0)]], [[F(1), F(2)], [F(0), F(4), F(5)]]):
-        with pytest.raises(ValueError):
-            series.bivar_mul(grid, grid)
-        with pytest.raises(ValueError):
-            series.bivar_log(grid)
+    # the first two have z-constant column (1, 0), so only the ragged rows are wrong
+    ragged = ([[F(1), F(2)], [F(0)]], [[F(1), F(2)], [F(0), F(4), F(5)]], [], [[]], [[1], []])
+    for grid in ragged:
+        ops = [lambda: series.bivar_mul(grid, grid), lambda: series.bivar_log(grid)]
+        ops += [lambda t=t: series.bivar_pow(grid, t) for t in EXPONENTS]
+        for op in ops:
+            with pytest.raises(ValueError, match="needs at least one row, all of the same length"):
+                op()
+
+
+def test_bivar_pow_squares_from_the_top_bit(monkeypatch):
+    a = [[F(1), F(2), F(-1)], [F(0), F(1, 2), F(3)]]
+    calls = record_calls(monkeypatch, "bivar_mul", series)
+    for e in range(1, 34):
+        calls.clear()
+        got = series.bivar_pow(a, e)
+        squarings = sum(call["a"] is call["b"] for call in calls)
+        assert (squarings, len(calls) - squarings) == (e.bit_length() - 1, bin(e).count("1") - 1), e
+        assert got == reference_grid_pow(a, e), e
+    got = series.bivar_pow(a, 1)
+    assert got == a and got is not a and not any(x is y for x, y in zip(got, a))
 
 
 def test_bivar_pow_rejects_nonpositive_exponent():
     with pytest.raises(ValueError):
         series.bivar_pow(series.deformed_exp_bivariate(1, 1), 0)
-
-
-EXPONENTS = (1, 2, 3, 8, 9)
 
 
 def _random_fraction(rng):
@@ -152,10 +167,16 @@ def _with_unit_column(grid):
 
 def test_every_operation_gives_fractions_on_integer_input():
     """All coefficients are Fractions, whatever the input's number type and the exponent."""
-    grid = [[1, 2, 3], [0, 1, 1]]
     p = SeriesPoly([1, 2, 3])
-    grids = [series.bivar_mul(grid, grid), series.bivar_log(grid), series.deformed_exp_bivariate(2, 3)]
-    grids += [series.bivar_pow(grid, t) for t in EXPONENTS]
+    grids = [series.deformed_exp_bivariate(2, 3)]
+    # an int grid and a float grid, each against the same operation on its exact twin
+    for grid in ([[1, 2, 3], [0, 1, 1]], [[1.0, 0.5, -0.25], [0.0, 1.5, 2.0]]):
+        exact = [[F(x) for x in row] for row in grid]
+        pairs = [(series.bivar_mul(grid, grid), series.bivar_mul(exact, exact))]
+        pairs += [(series.bivar_log(grid), series.bivar_log(exact))]
+        pairs += [(series.bivar_pow(grid, t), series.bivar_pow(exact, t)) for t in EXPONENTS]
+        assert [got for got, _ in pairs] == [want for _, want in pairs]
+        grids += [got for got, _ in pairs]
     polys = [series.series_mul(p, p, 3), series.series_log(p, 3), series.deformed_exp_truncated(2, 3)]
     polys += [series.series_pow(p, t, 3) for t in EXPONENTS]
     entries = [x for g in grids for row in g for x in row] + [x for q in polys for x in q.coeffs]
