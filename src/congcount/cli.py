@@ -3,7 +3,8 @@
 Subcommands: count, check, oracle-compare, graph-table, series.  Results go
 to stdout; the chosen method and diagnostics go to stderr.  Every error is a
 single line "error: <category>: <message>" with exit codes 1 (oracle
-disagreement), 2 (usage), 3 (precondition violated), 4 (resource cap).
+disagreement), 2 (usage), 3 (precondition violated), 4 (resource cap, also
+when oracle-compare skips every method).
 With --json each subcommand emits one JSON document instead of the
 human-readable text; --no-timing drops the elapsed_ms field so output is
 byte-for-byte reproducible.  Counts and other unbounded integers are printed
@@ -52,7 +53,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-# human and notes are lines for stdout and stderr; each error makes the exit code 1
+# human and notes are iterables of lines for stdout and stderr; each error makes the exit code 1
 _Result = namedtuple("_Result", "human doc notes errors", defaults=((), ()))
 
 
@@ -84,23 +85,19 @@ def _run_count(args) -> _Result:
 
 def _run_check(args) -> _Result:
     inst, inputs = _instance(args)
-    report = check_condition(inst)
-    report_doc = {
-        "holds": report.holds,
-        "failing_subset": None if report.failing_subset is None else list(report.failing_subset),
-        "full_sum_gcd": str(report.full_sum_gcd),
-    }
-    if args.b is not None:
-        report_doc["divides_b"] = report.divides_b
+    report = check_condition(inst)._asdict()
+    report["full_sum_gcd"] = str(report["full_sum_gcd"])
+    if args.b is None:
+        del report["divides_b"]
     return _Result(
-        human=[f"{key}: {_text(value)}" for key, value in report_doc.items() if value is not None],
-        doc={"inputs": inputs, "report": report_doc},
+        human=[f"{key}: {_text(value)}" for key, value in report.items() if value is not None],
+        doc={"inputs": inputs, "report": report},
     )
 
 
 def _text(value) -> str:
     """A report value as check prints it: a set such as {1, 2}, true or false, or the string."""
-    if isinstance(value, list):
+    if isinstance(value, tuple):
         return "{" + ", ".join(map(str, value)) + "}"
     return json.dumps(value) if isinstance(value, bool) else value
 
@@ -117,6 +114,9 @@ def _run_compare(args) -> _Result:
         except ResourceLimitError:
             # the formula's only refusal is its subset scan
             skipped[name] = "subset cap exceeded" if name == "formula" else "resource cap exceeded"
+    if not results:
+        reasons = ", ".join(f"{name}: {reason}" for name, reason in skipped.items())
+        raise ResourceLimitError(f"no method answered ({reasons})")
     agree = len(set(results.values())) <= 1
     human = [
         f"{name:<14}  " + (results[name] if name in results else f"skipped ({skipped[name]})")
@@ -139,7 +139,7 @@ def _run_graph_table(args) -> _Result:
         table = graphenum.component_counts(args.kmax)
         rows = [{"c": c, "e": e, "k": k, "count": str(cnt)} for (c, e, k), cnt in table.g.items()]
     return _Result(
-        human=[] if args.json else [json.dumps(row) for row in rows],
+        human=map(json.dumps, rows),  # lazy: JSON mode never reads it
         doc={"inputs": {"k_max": args.kmax, "connected": bool(args.connected)}, "rows": rows},
     )
 
@@ -204,37 +204,31 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit to lift
-        return _main(argv)
     # exact counts and coefficients can run past the default 4300-digit int<->str limit
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
-    try:
-        return _main(argv)
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
-def _main(argv) -> int:
     t0 = perf_counter()
     try:
         args = _build_parser().parse_args(argv)
         result = args.handler(args)
-    except SystemExit as exc:  # argparse --help
-        return 0 if exc.code in (0, None) else int(exc.code)
+    except SystemExit:  # argparse --help; _Parser.error raises ValueError instead
+        return 0
     except tuple(_EXIT_CODES) as exc:
         code, category = next(v for kind, v in _EXIT_CODES.items() if isinstance(exc, kind))
         print(f"error: {category}: {exc}", file=sys.stderr)
         return code
-    if args.json:
-        if not args.no_timing:
-            result.doc["elapsed_ms"] = round((perf_counter() - t0) * 1000, 3)
-        print(json.dumps(result.doc))
     else:
-        for line in result.human:
-            print(line)
-        for note in result.notes:
-            print(note, file=sys.stderr)
-    for err in result.errors:
-        print(err, file=sys.stderr)
-    return 1 if result.errors else 0
+        if args.json:
+            if not args.no_timing:
+                result.doc["elapsed_ms"] = round((perf_counter() - t0) * 1000, 3)
+            print(json.dumps(result.doc))
+        else:
+            for line in result.human:
+                print(line)
+            for note in result.notes:
+                print(note, file=sys.stderr)
+        for err in result.errors:
+            print(err, file=sys.stderr)
+        return 1 if result.errors else 0
+    finally:
+        sys.set_int_max_str_digits(limit)

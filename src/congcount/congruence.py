@@ -206,10 +206,13 @@ def distinct_count_formula(inst: CongruenceInstance) -> int:
     """Closed-form count of solutions with pairwise-distinct coordinates.
 
     Requires the subset-sum gcd condition (enforced).  With
-    l = gcd(a1 + ... + ak, n) and P = (n-1)(n-2)...(n-k+1):
+    l = gcd(a1 + ... + ak, n), P = (n-1)(n-2)...(n-k+1) and [l | b] equal
+    to 1 when l divides b, else 0:
 
-        count = (-1)**k * (k-1)! + P              if l does not divide b,
-        count = (-1)**(k-1) * (k-1)! * (l-1) + P  if l divides b.
+        count = P + (-1)**(k-1) * (k-1)! * (l * [l | b] - 1)
+
+    where l * [l | b] is Lehmer's count of the congruence with every
+    coefficient merged into one variable.
     """
     report = check_condition(inst)
     if not report.holds:
@@ -220,13 +223,8 @@ def distinct_count_formula(inst: CongruenceInstance) -> int:
             report,
         )
     k = inst.k
-    ell = report.full_sum_gcd
-    base = falling_factorial(inst.n, k)
-    fact = math.factorial(k - 1)
-    if report.divides_b:
-        value = (-1) ** (k - 1) * fact * (ell - 1) + base
-    else:
-        value = (-1) ** k * fact + base
+    merged = report.full_sum_gcd * report.divides_b
+    value = falling_factorial(inst.n, k) + (-1) ** (k - 1) * math.factorial(k - 1) * (merged - 1)
     if value < 0:
         raise AssertionError(f"negative count {value} for {inst}")
     return value
@@ -236,26 +234,18 @@ def schoenemann_count(p: int, coeffs) -> int:
     """Distinct-coordinate count in the classical prime case.
 
     Preconditions: p prime, sum of coefficients divisible by p, and no
-    nonempty proper subset sum divisible by p.  The value is independent of
-    the coefficients:
+    nonempty proper subset sum divisible by p.  This is distinct_count_formula
+    at b = 0, n = p, where l = p divides b, so the value is independent of the
+    coefficients:
 
         (-1)**(k-1) * (k-1)! * (p-1) + (p-1)(p-2)...(p-k+1)
-
-    Delegates to distinct_count_formula with b = 0, n = p and checks
-    agreement with that closed form.
     """
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     coeffs = tuple(coeffs)
     if sum(coeffs) % p != 0:
         raise ValueError("coefficient sum must be divisible by p")
-    inst = CongruenceInstance(coeffs, 0, p)
-    value = distinct_count_formula(inst)
-    k = len(coeffs)
-    closed = (-1) ** (k - 1) * math.factorial(k - 1) * (p - 1) + falling_factorial(p, k)
-    if value != closed:
-        raise AssertionError(f"closed form {closed} != general formula {value}")
-    return value
+    return distinct_count_formula(CongruenceInstance(coeffs, 0, p))
 
 
 def rademacher_brauer_count(n: int, k: int, b: int) -> int:

@@ -71,6 +71,9 @@ TRANSCRIPTS = [
     ("check_json", "check --n 6 --coeffs 2,4 --json --no-timing",
         0, '{"inputs": {"n": "6", "coeffs": ["2", "4"]},'
         ' "report": {"holds": false, "failing_subset": [1], "full_sum_gcd": "6"}}\n', ""),
+    ("check_json_with_b", "check --n 6 --b 1 --coeffs 2,4 --json --no-timing",
+        0, '{"inputs": {"n": "6", "b": "1", "coeffs": ["2", "4"]}, "report": {"holds": false,'
+        ' "failing_subset": [1], "full_sum_gcd": "6", "divides_b": false}}\n', ""),
     # 2000000014 = 2 * 1000000007: the prime 2 is decided by the residue DP,
     # whose witness {1} leaves no earlier subset for the large prime's scan
     ("check_small_prime_witness_spares_the_large_prime_scan",
@@ -89,6 +92,12 @@ TRANSCRIPTS = [
         0, '{"inputs": {"n": "4", "b": "0", "coeffs": ["2", "2"]},'
         ' "results": {"iep-edges": "4", "iep-partitions": "4", "brute": "4"},'
         ' "skipped": {"formula": "hypothesis fails"}, "agree": true}\n', ""),
+    # a1 + a2 = p: the formula's hypothesis fails, and k = 20 is past every oracle's cap
+    ("oracle_compare_with_no_answer_exits_four",
+        f"oracle-compare --n 1000003 --b 0 --coeffs 1,1000002,{_repeat('1', 17)},999986",
+        4, "", "error: resource: no method answered (formula: hypothesis fails, iep-edges: "
+        "resource cap exceeded, iep-partitions: resource cap exceeded, brute: resource cap "
+        "exceeded)\n"),
     ("graph_table_connected", "graph-table --kmax 3 --connected",
         0, '{"e": 0, "k": 1, "count": "1"}\n{"e": 1, "k": 2, "count": "1"}\n'
         '{"e": 2, "k": 3, "count": "3"}\n{"e": 3, "k": 3, "count": "1"}\n', ""),
@@ -413,9 +422,6 @@ def test_module_entry_point_runs_as_subprocess():
         assert result == (0, "20\n", "method: formula\n"), flags
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "get_int_max_str_digits"), reason="no int<->str digit limit before 3.10.7"
-)
 def test_exact_numbers_past_the_int_string_limit(capsys):
     limit = sys.get_int_max_str_digits()
     # 800 ones mod the prime 1000003: the condition holds, but its subset scan is over budget
@@ -430,6 +436,14 @@ def test_exact_numbers_past_the_int_string_limit(capsys):
     code, out, err = run_cli(capsys, argv)
     assert (code, json.loads(out)["inputs"]["b"], err) == (0, str(pow(10, 4999, 7)), "")
     assert sys.get_int_max_str_digits() == limit
+    # the limit comes back on every exit path: usage error, refusal and --help
+    for argv, expected in (
+        (["count", "--n", "x", "--b", "0", "--coeffs", "1"], 2),
+        (["graph-table", "--kmax", "31"], 4),
+        (["--help"], 0),
+    ):
+        assert run_cli(capsys, argv)[0] == expected, argv
+        assert sys.get_int_max_str_digits() == limit, argv
     sys.set_int_max_str_digits(0)
     try:
         assert int(count) == perm(1000002, 799)
