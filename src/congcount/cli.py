@@ -4,7 +4,7 @@ Subcommands: count, check, oracle-compare, graph-table, series.  Results go
 to stdout; the chosen method and diagnostics go to stderr.  Every error is a
 single line "error: <category>: <message>" with exit codes 1 (oracle
 disagreement), 2 (usage), 3 (precondition violated), 4 (resource cap, also
-when oracle-compare skips every method).
+when oracle-compare gets fewer than two answers to compare).
 With --json each subcommand emits one JSON document instead of the
 human-readable text; --no-timing drops the elapsed_ms field so output is
 byte-for-byte reproducible.  Counts and other unbounded integers are printed
@@ -114,10 +114,11 @@ def _run_compare(args) -> _Result:
         except ResourceLimitError:
             # the formula's only refusal is its subset scan
             skipped[name] = "subset cap exceeded" if name == "formula" else "resource cap exceeded"
-    if not results:
+    if len(results) < 2:  # nothing to compare
+        answered = f"only {next(iter(results))}" if results else "no method"
         reasons = ", ".join(f"{name}: {reason}" for name, reason in skipped.items())
-        raise ResourceLimitError(f"no method answered ({reasons})")
-    agree = len(set(results.values())) <= 1
+        raise ResourceLimitError(f"{answered} answered ({reasons})")
+    agree = len(set(results.values())) == 1
     human = [
         f"{name:<14}  " + (results[name] if name in results else f"skipped ({skipped[name]})")
         for name in METHODS

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import re
@@ -212,19 +213,15 @@ def test_oracle_compare_disagreement_exits_one(capsys, monkeypatch):
 def test_oracle_compare_skip_reasons_when_only_partitions_fit(capsys):
     # k = 30 mod the prime 100003: the formula's subset scan, the edge subsets
     # and the tuple enumeration are all past their caps; L = gcd(465, 100003)
-    # = 1, so iep-partitions runs no DP
+    # = 1, so iep-partitions runs no DP.  One answer compares nothing, so the
+    # call is refused as when no method answers
     coeffs = ",".join(map(str, range(1, 31)))
-    argv = ["oracle-compare", "--n", "100003", "--b", "0", "--coeffs", coeffs, "--json", "--no-timing"]
-    code, out, err = run_cli(capsys, argv)
-    assert (code, err) == (0, "")
-    doc = json.loads(out)
-    assert doc["skipped"] == {
-        "formula": "subset cap exceeded",
-        "iep-edges": "resource cap exceeded",
-        "brute": "resource cap exceeded",
-    }
-    assert list(doc["results"]) == ["iep-partitions"]
-    assert doc["agree"] is True
+    for mode in ([], ["--json", "--no-timing"]):
+        argv = ["oracle-compare", "--n", "100003", "--b", "0", "--coeffs", coeffs] + mode
+        assert run_cli(capsys, argv) == (
+            4, "", "error: resource: only iep-partitions answered (formula: subset cap exceeded, "
+            "iep-edges: resource cap exceeded, brute: resource cap exceeded)\n",
+        )
 
 
 def test_graph_table_rows_equal_reference(capsys):
@@ -263,6 +260,19 @@ def test_graph_table_at_the_cap_finishes(capsys):
             connected[row["k"]] += int(row["count"])
     assert all_graphs[1:] == [2 ** comb(k, 2) for k in range(1, 31)]
     assert connected[1:] == connected_graph_totals(30)[1:]
+
+
+@pytest.mark.parametrize("mode, digest", [
+    ([], "ef672406c7a93e92991c44d7e4d960b3ab54a232be8f5552964e46cbb9acb8e0"),
+    (["--connected"], "cc8bf03c56b983555dab3c2e2cd4b36e45e6bda42c34290936d3376271d57066"),
+], ids=["components", "connected"])
+def test_graph_table_at_the_cap_is_byte_identical(capsys, mode, digest):
+    # the SHA-256 of the whole document as the list convolutions printed it; the
+    # packed rows are widest here, 56-byte slots for k = 30
+    argv = ["graph-table", "--kmax", "30", "--json", "--no-timing"] + mode
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_usage_errors_exit_two(capsys):
@@ -428,7 +438,11 @@ def test_exact_numbers_past_the_int_string_limit(capsys):
     instance = ["--n", "1000003", "--b", "0", "--coeffs", _repeat("1", 800)]
     code, count, err = run_cli(capsys, ["count", *instance])
     assert (code, err) == (0, "method: iep-partitions\n")
-    assert run_cli(capsys, ["oracle-compare", *instance])[0] == 0
+    # 240 ones mod 251**8: the formula (by its residue DP for 251) and iep-partitions both answer
+    argv = ["oracle-compare", "--n", str(251**8), "--b", "0", "--coeffs", _repeat("1", 240)]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out.splitlines()[-1], err) == (0, "agreement: yes", "")
+    assert len(out.split()[1]) > 4300
     code, out, err = run_cli(capsys, "series --beta 2 --order 200".split())
     assert (code, out.count("\n"), err) == (0, 201, "")
     big_b = "1" + "0" * 4999

@@ -1,4 +1,3 @@
-from collections import Counter
 from math import comb, factorial
 
 import pytest
@@ -46,37 +45,20 @@ def test_component_rows_equal_reference_dicts_in_order(reference14):
         assert list(table.g.items()) == _up_to(g, k_max), k_max
 
 
-def test_row_products_counted(reference14):
-    # K = 4, g' rows: k = 2 convolves [1] with [1] (1 product); k = 3 adds 2 + 1;
-    # k = 4 adds 4 + 2 + 2 (the Pascal rows of C(3,2), C(2,2), C(1,2) against
-    # the nonzero g' entries of j = 1, 2, 3 vertices)
-    stats = {}
-    graphenum.connected_counts(4, stats=stats)
-    assert stats == {"row_products": 12, "gprime_row_products": 12}
-    stats = {}
-    graphenum.component_counts(4, stats=stats)
-    assert stats == {"row_products": 24, "gprime_row_products": 12}
-    # in general each convolution multiplies every nonzero entry of one row
-    # by every nonzero entry of the other; the Pascal rows have no zeros
-    gp, g = reference14
-    gp_width = Counter(k for _, k in gp)
-    g_width = Counter((c, k) for c, _, k in g)
-    for k_max in (1, 6, 11):
+def test_row_products_counted():
+    # one packed product per row convolution: the g' row of k vertices takes
+    # k-1 of them (j = 1..k-1), summing to C(K,2); the g row (c, k) takes k-c+1,
+    # summing over c = 2..k to C(k,2) and over k to C(K+1,3)
+    for k_max, gprime_products, g_products in ((1, 0, 0), (4, 6, 10), (6, 15, 35), (11, 55, 220)):
+        assert (comb(k_max, 2), comb(k_max + 1, 3)) == (gprime_products, g_products)
         connected, components = {}, {}
         graphenum.connected_counts(k_max, stats=connected)
         graphenum.component_counts(k_max, stats=components)
-        gprime_products = sum(
-            gp_width[j] * (comb(k - j, 2) + 1) for k in range(1, k_max + 1) for j in range(1, k)
-        )
-        g_products = sum(
-            gp_width[j] * g_width[(c - 1, k - j)]
-            for k in range(1, k_max + 1)
-            for c in range(2, k + 1)
-            for j in range(1, k - c + 2)
-        )
-        assert connected["row_products"] == connected["gprime_row_products"] == gprime_products
-        assert components["gprime_row_products"] == connected["row_products"]
-        assert components["row_products"] == gprime_products + g_products
+        assert connected == {"row_products": gprime_products, "gprime_row_products": gprime_products}
+        assert components == {
+            "row_products": gprime_products + g_products,
+            "gprime_row_products": gprime_products,
+        }
 
 
 def test_gprime_support_bounds(table12):

@@ -184,3 +184,42 @@ def test_one_function_accumulates_series_products():
     ]
     assert accumulating == ["_add_product"]
     assert callers == ["bivar_mul", "bivar_log"]
+
+
+def _calls_outside_comprehensions(node):
+    """Names of the methods called in node's subtree, skipping comprehensions and generators."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            continue
+        if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+            yield child.func.attr
+        yield from _calls_outside_comprehensions(child)
+
+
+def test_one_function_packs_graph_rows_and_one_unpacks_them():
+    """graphenum convolves rows only as packed integers, packed in one function and unpacked in one.
+
+    Packing makes one int of a whole row's bytes (int.from_bytes outside any
+    comprehension); unpacking makes one bytes object of a whole packed int
+    (.to_bytes outside any comprehension).  A list convolution writes
+    coefficients into a list inside a for loop, which no function may do.
+    """
+    tree = ast.parse(inspect.getsource(congcount.graphenum))
+    functions = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+    calls = {fn.name: set(_calls_outside_comprehensions(fn)) for fn in functions}
+    packers = [name for name, called in calls.items() if "from_bytes" in called]
+    unpackers = [name for name, called in calls.items() if "to_bytes" in called]
+    list_writers = [
+        fn.name
+        for fn in functions
+        if any(
+            isinstance(target, ast.Subscript)
+            for loop in ast.walk(fn)
+            if isinstance(loop, ast.For)
+            for node in ast.walk(loop)
+            for target in getattr(node, "targets", [getattr(node, "target", None)])
+        )
+    ]
+    assert packers == ["_pack"]
+    assert unpackers == ["_unpack"]
+    assert list_writers == []
