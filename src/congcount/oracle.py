@@ -31,14 +31,10 @@ instances the closed form refuses.
 import functools
 import itertools
 import math
-from collections.abc import Iterable
 
 from .arith import factor_partially, falling_factorial
 from .congruence import CongruenceInstance, lehmer_count
 from .errors import ResourceLimitError
-
-# An equality pattern is any iterable of index pairs {u, v}, 1 <= u < v <= k.
-EqualityPattern = Iterable[tuple[int, int]]
 
 EDGE_SUBSET_MAX_K = 5
 # 0.13-0.19 us a DP step in CPython 3.11 on a 2-core x86 VM: at most about 6 s
@@ -51,9 +47,10 @@ def all_pairs(k: int) -> tuple[tuple[int, int], ...]:
     return tuple(itertools.combinations(range(1, k + 1), 2))
 
 
-def pattern_components(k: int, pattern: EqualityPattern) -> tuple[tuple[int, ...], ...]:
+def pattern_components(k: int, pattern) -> tuple[tuple[int, ...], ...]:
     """Connected components of the pattern graph on vertices 1..k.
 
+    The pattern is any iterable of index pairs (u, v), 1 <= u < v <= k.
     Blocks are sorted internally and ordered by smallest element, so the
     partition is canonical.
     """
@@ -71,7 +68,7 @@ def pattern_components(k: int, pattern: EqualityPattern) -> tuple[tuple[int, ...
     return tuple(dict.fromkeys(block_of[1:]))
 
 
-def pattern_count(inst: CongruenceInstance, pattern: EqualityPattern) -> int:
+def pattern_count(inst: CongruenceInstance, pattern) -> int:
     """Solutions of the congruence with the pattern's pairs forced equal.
 
     Coordinates in one component of the pattern graph share a variable, so

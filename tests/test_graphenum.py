@@ -46,19 +46,17 @@ def test_component_rows_equal_reference_dicts_in_order(reference14):
 
 
 def test_row_products_counted():
-    # one packed product per row convolution: the g' row of k vertices takes
-    # k-1 of them (j = 1..k-1), summing to C(K,2); the g row (c, k) takes k-c+1,
-    # summing over c = 2..k to C(k,2) and over k to C(K+1,3)
-    for k_max, gprime_products, g_products in ((1, 0, 0), (4, 6, 10), (6, 15, 35), (11, 55, 220)):
-        assert (comb(k_max, 2), comb(k_max + 1, 3)) == (gprime_products, g_products)
-        connected, components = {}, {}
-        graphenum.connected_counts(k_max, stats=connected)
-        graphenum.component_counts(k_max, stats=components)
-        assert connected == {"row_products": gprime_products, "gprime_row_products": gprime_products}
-        assert components == {
-            "row_products": gprime_products + g_products,
-            "gprime_row_products": gprime_products,
-        }
+    # one packed product per row convolution.  Without components, the row of
+    # k vertices glues j = 1..k-1, so C(K,2) in all; with them, g(c, ., k)
+    # glues j = 1..k-c+1, summing over c = 2..k to C(k,2) and over k to
+    # C(K+1,3), and g' takes none, being the Pascal row minus the g rows
+    for k_max, connected, components in ((1, 0, 0), (4, 6, 10), (6, 15, 35), (11, 55, 220)):
+        assert (comb(k_max, 2), comb(k_max + 1, 3)) == (connected, components)
+        connected_stats, component_stats = {}, {}
+        graphenum.connected_counts(k_max, stats=connected_stats)
+        graphenum.component_counts(k_max, stats=component_stats)
+        assert connected_stats == {"row_products": connected}
+        assert component_stats == {"row_products": components}
 
 
 def test_gprime_support_bounds(table12):
@@ -126,5 +124,11 @@ def test_kmax_range_enforced(monkeypatch):
         graphenum.connected_counts(31)
     with pytest.raises(ResourceLimitError):
         graphenum.component_counts(31)
+    for bad in (3.0, "3"):
+        with pytest.raises(TypeError, match="k_max"):
+            graphenum.component_counts(bad)
+    # k_max is taken through operator.index, as CongruenceInstance takes its integers
+    table = graphenum.connected_counts(True)
+    assert type(table.k_max) is int and table.k_max == 1
     monkeypatch.setattr(graphenum, "KMAX_CAP", 31)
     graphenum.connected_counts(31)  # KMAX_CAP is read when called

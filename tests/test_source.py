@@ -223,3 +223,23 @@ def test_one_function_packs_graph_rows_and_one_unpacks_them():
     assert packers == ["_pack"]
     assert unpackers == ["_unpack"]
     assert list_writers == []
+
+
+def test_one_function_builds_graph_rows_and_one_place_repacks_them():
+    """graphenum's two tables come from one row builder: it alone unpacks rows and reads the slot width."""
+    tree = ast.parse(inspect.getsource(congcount.graphenum))
+    functions = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+
+    def callers(callee):
+        return [
+            fn.name
+            for fn in functions
+            if fn.name != callee
+            and any(
+                isinstance(call, ast.Call) and getattr(call.func, "id", None) == callee
+                for call in ast.walk(fn)
+            )
+        ]
+
+    assert len(callers("_unpack")) == 1
+    assert len(callers("_slot_bytes")) == 1
