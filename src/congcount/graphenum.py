@@ -86,11 +86,11 @@ def _unpack(value: int, width: int, length: int) -> list[int]:
 
 def _rows(k_max: int, components: bool) -> tuple[list[list[list[int]]], int]:
     # rows[k][0] is the Pascal row of C(k,2) and rows[k][c] = g(c, ., k) for c >= 1.
-    # A glued row sums C(k-1, j-1) g'(., j) times row r of the other k-j vertices
-    # over j = 1..top: with components, r = c-1 and top = k-c+1 give g(c, ., k)
-    # for c >= 2; without, r = 0 and top = k-1 give every disconnected graph.
-    # g'(., k) is the Pascal row minus the glued rows.  Returns the rows and the
-    # number of packed products.
+    # One glue makes every glued row: the sum of C(k-1, j-1) g'(., j) times row r
+    # of the other k-j vertices over j = 1..k-max(r, 1).  With components, r = c-1
+    # gives g(c, ., k) for c >= 2; without, the one span r = 0 gives every
+    # disconnected graph.  g'(., k) is the Pascal row minus the glued rows.
+    # Returns the rows and the number of packed products.
     rows, width, products = [[[1]]], 0, 0
     for k in range(1, k_max + 1):
         if _slot_bytes(k) > width:  # repack what the products read at the wider slots
@@ -99,18 +99,23 @@ def _rows(k_max: int, components: bool) -> tuple[list[list[list[int]]], int]:
         m = comb(k, 2)
         # C(m, e+1) = C(m, e) (m-e) / (e+1): at m = 435 this is about 20 times faster than math.comb
         pascal = list(accumulate(range(m), lambda c, e: c * (m - e) // (e + 1), initial=1))
-        spans = [(c - 1, k - c + 1) for c in range(2, k + 1)] if components else [(0, k - 1)]
-        glued = [
-            sum(comb(k - 1, j - 1) * packed[j][1] * packed[k - j][r] for j in range(1, top + 1))
-            for r, top in spans
-        ]
-        products += sum(top for _, top in spans)
         everything = _pack(pascal, width)
-        values = [everything - sum(glued)] + (glued if components else [])
-        # row c ends at e = C(k-c+1, 2): one component complete, the rest isolated
-        unpacked = [_unpack(v, width, comb(k - c + 1, 2) + 1) for c, v in enumerate(values, 1)]
-        rows.append([pascal] + unpacked)
-        packed.append([everything] + values)
+        glued = [
+            sum(comb(k - 1, j - 1) * packed[j][1] * packed[k - j][r]
+                for j in range(1, k + 1 - (r or 1)))
+            for r in (range(1, k) if components else (0,))
+        ]
+        products += m if components else k - 1
+        gprime = everything - sum(glued)
+        row = _unpack(gprime, width, m + 1)
+        if components:
+            # row c = r+1 ends at e = C(k-r, 2): one component complete, the rest isolated
+            packed.append([everything, gprime] + glued)
+            rows.append([pascal, row]
+                        + [_unpack(v, width, comb(k - r, 2) + 1) for r, v in enumerate(glued, 1)])
+        else:  # the one span's glued row is no row of the table
+            packed.append([everything, gprime])
+            rows.append([pascal, row])
     return rows, products
 
 

@@ -275,6 +275,15 @@ def test_graph_table_at_the_cap_is_byte_identical(capsys, mode, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_series_output_is_byte_identical(capsys):
+    # the SHA-256 of the document as the Fraction-by-Fraction engine printed it;
+    # beta = 7/3 gives denominators 3**C(m,2) m!, up to 3**780 40!
+    code, out, err = run_cli(capsys, ["series", "--beta=7/3", "--order", "40", "--json", "--no-timing"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "16c9d118d58961a042d42c492a91b153ce7bb0f655e5170a61339b37ce5680c7")
+
+
 def test_usage_errors_exit_two(capsys):
     cases = [
         ["count", "--n", "5", "--coeffs", "1,1,3"],  # missing --b

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import re
 from fractions import Fraction
 from math import comb, factorial
 
@@ -137,11 +139,11 @@ def test_bivar_ops_reject_ragged_grids():
 
 def test_bivar_pow_squares_from_the_top_bit(monkeypatch):
     a = [[F(1), F(2), F(-1)], [F(0), F(1, 2), F(3)]]
-    calls = record_calls(monkeypatch, "bivar_mul", series)
+    calls = record_calls(monkeypatch, "_mul", series)
     for e in range(1, 34):
         calls.clear()
         got = series.bivar_pow(a, e)
-        squarings = sum(call["a"] is call["b"] for call in calls)
+        squarings = sum(call["p"] is call["q"] for call in calls)
         assert (squarings, len(calls) - squarings) == (e.bit_length() - 1, bin(e).count("1") - 1), e
         assert got == reference_grid_pow(a, e), e
     got = series.bivar_pow(a, 1)
@@ -213,3 +215,91 @@ def test_series_ops_match_reference_on_random_series():
             row_unit = [[Fraction(1)] + row_p[0][1:]]
             got = series.series_log(unit, order)
             assert got == SeriesPoly(reference_grid_log(row_unit)[0]), (order, length)
+
+
+# pairwise coprime: powers of distinct primes, each above 10**13
+COPRIME_DENOMINATORS = (2 ** 47, 3 ** 29, 5 ** 19, 7 ** 16, 11 ** 13, 13 ** 12, 17 ** 11)
+
+
+def _mixed_entry(rng):
+    """A negative or positive Fraction over a large coprime denominator, an int or a float."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Fraction(rng.randint(-10 ** 15, 10 ** 15), rng.choice(COPRIME_DENOMINATORS))
+    return rng.randint(-9, 9) if kind == 1 else rng.uniform(-4, 4)
+
+
+@pytest.mark.parametrize("y_order, z_order", [(0, 5), (1, 2), (2, 3)])
+def test_integer_engine_matches_reference_on_large_denominators(y_order, z_order):
+    rng = random.Random(1000 + 10 * y_order + z_order)
+    a = [[_mixed_entry(rng) for _ in range(z_order + 1)] for _ in range(y_order + 1)]
+    b = [[_mixed_entry(rng) for _ in range(z_order + 1)] for _ in range(y_order + 1)]
+    exact = [[F(x) for x in row] for row in a]
+    assert series.bivar_mul(a, b) == reference_grid_mul(exact, [[F(x) for x in row] for row in b])
+    for t in range(1, 34):
+        assert series.bivar_pow(a, t) == reference_grid_pow(exact, t), t
+    unit = [[e == 0] + row[1:] for e, row in enumerate(a)]
+    assert series.bivar_log(unit) == reference_grid_log(_with_unit_column(exact))
+
+
+def test_graded_scale_of_the_exponential_is_the_factorials():
+    """The scale stays at the true denominators of exp's powers: m!, not (z_order!)**m."""
+    exp = list(series.deformed_exp_truncated(1, 12).coeffs)
+    scale, cofactors, ((d, (col0, *_)),) = series._columns([exp])
+    assert scale == [factorial(m) for m in range(13)]
+    assert cofactors[4][3] == comb(7, 3) and (d, col0) == (1, [1])
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")], ids=str)
+def test_non_finite_coefficients_rejected(bad):
+    grid = [[F(1), 2, 0.5], [0, bad, 3]]
+    ones = [[1, 1, 1], [1, 1, 1]]
+    ops = [lambda: series.bivar_mul(grid, ones), lambda: series.bivar_mul(ones, grid)]
+    ops += [lambda: series.bivar_log(grid), lambda: series.bivar_log([[bad, 1], [0, 1]])]
+    ops += [lambda t=t: series.bivar_pow(grid, t) for t in EXPONENTS]
+    ops += [lambda: SeriesPoly([1, bad]), lambda: SeriesPoly([bad])]
+    ops += [lambda: series.deformed_exp_truncated(bad, 3)]
+    for op in ops:
+        with pytest.raises(ValueError, match=re.escape(f"must be finite, got {bad!r}")):
+            op()
+
+
+def test_engine_does_no_fraction_arithmetic(monkeypatch):
+    """Entries become Fractions only on the way out; between, every operation is on ints."""
+    p = series.deformed_exp_truncated(F(7, 3), 9)
+    grid = series.deformed_exp_bivariate(4, 5)
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic inside the series engine")
+
+    for name in ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow"):
+        monkeypatch.setattr(F, f"__{name}__", refuse)
+        monkeypatch.setattr(F, f"__r{name}__", refuse)
+    for name in ("__neg__", "__eq__", "__lt__", "__bool__", "__hash__"):
+        monkeypatch.setattr(F, name, refuse)
+    series.series_mul(p, p, 9)
+    series.series_pow(p, 5, 9)
+    series.series_log(p, 9)
+    series.bivar_mul(grid, grid)
+    series.bivar_pow(grid, 7)
+    series.bivar_log(grid)
+
+
+# SHA-256 of str() of the benchmark's largest library calls, as the
+# Fraction-by-Fraction engine computed them
+LIBRARY_PINS = [
+    ("series_log", lambda: series.series_log(series.deformed_exp_truncated(2, 20), 20),
+     "8cdeb232d0cbd657aeef1d23c7bcc15e1138b40632815b47df6737fcde1728ca"),
+    ("series_pow", lambda: series.series_pow(series.deformed_exp_truncated(2, 20), 5, 20),
+     "95142be0bd5ca4c1f86ecc8ea773bfd81abd21775046f854f13dc2a627a50740"),
+    ("bivar_log", lambda: series.bivar_log(series.deformed_exp_bivariate(comb(7, 2), 7)),
+     "08da1598400ec42134e8aacdf03d1443f163ec576849a43406eed89d91f2fcbd"),
+    ("bivar_pow", lambda: series.bivar_pow(series.deformed_exp_bivariate(comb(6, 2), 6), 4),
+     "610f19d0daf6dde21f97b2ef764f8b58f4b5fb1cb40b08237d30984475b3bb5f"),
+]
+
+
+@pytest.mark.parametrize("call, digest", [pin[1:] for pin in LIBRARY_PINS],
+                         ids=[pin[0] for pin in LIBRARY_PINS])
+def test_library_results_are_unchanged(call, digest):
+    assert hashlib.sha256(str(call()).encode()).hexdigest() == digest

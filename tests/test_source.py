@@ -160,7 +160,7 @@ def test_one_function_counts_a_merged_congruence():
 
 
 def test_one_function_accumulates_series_products():
-    """series.py writes the truncated product once, and only bivar_mul and bivar_log call it.
+    """series.py writes the truncated product once, and only the grid product and bivar_log call it.
 
     Accumulating means an augmented assignment to a subscript inside a for loop.
     """
@@ -183,7 +183,7 @@ def test_one_function_accumulates_series_products():
         if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_add_product"
     ]
     assert accumulating == ["_add_product"]
-    assert callers == ["bivar_mul", "bivar_log"]
+    assert callers == ["_mul", "bivar_log"]
 
 
 def _calls_outside_comprehensions(node):
