@@ -53,6 +53,20 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+class _Encoded(str):
+    """A JSON text that the writer embeds as it is, instead of encoding it as a string."""
+
+    __slots__ = ()
+
+
+def _json_document(doc: dict) -> str:
+    """json.dumps(doc), byte for byte, with each _Encoded value embedded as it is."""
+    return "{" + ", ".join(
+        f"{json.dumps(key)}: {value if isinstance(value, _Encoded) else json.dumps(value)}"
+        for key, value in doc.items()
+    ) + "}"
+
+
 # human and notes are iterables of lines for stdout and stderr; each error makes the exit code 1
 _Result = namedtuple("_Result", "human doc notes errors", defaults=((), ()))
 
@@ -132,24 +146,39 @@ def _run_compare(args) -> _Result:
 
 
 def _run_graph_table(args) -> _Result:
-    # the tables hold only nonzero entries, in (k, e) and (k, c, e) order
+    # the tables hold only nonzero entries, in (k, e) and (k, c, e) order; each row is
+    # written once, as the JSON object text that json.dumps would give it
     if args.connected:
         table = graphenum.connected_counts(args.kmax)
-        rows = [{"e": e, "k": k, "count": str(cnt)} for (e, k), cnt in table.gprime.items()]
+        rows = [
+            f'{{"e": {e}, "k": {k}, "count": "{cnt}"}}' for (e, k), cnt in table.gprime.items()
+        ]
     else:
         table = graphenum.component_counts(args.kmax)
-        rows = [{"c": c, "e": e, "k": k, "count": str(cnt)} for (c, e, k), cnt in table.g.items()]
+        rows = [
+            f'{{"c": {c}, "e": {e}, "k": {k}, "count": "{cnt}"}}'
+            for (c, e, k), cnt in table.g.items()
+        ]
     return _Result(
-        human=map(json.dumps, rows),  # lazy: JSON mode never reads it
-        doc={"inputs": {"k_max": args.kmax, "connected": bool(args.connected)}, "rows": rows},
+        human=rows,
+        doc={
+            "inputs": {"k_max": args.kmax, "connected": bool(args.connected)},
+            "rows": _Encoded("[" + ", ".join(rows) + "]"),
+        },
     )
 
 
 def _run_series(args) -> _Result:
     try:
+        # Fraction expands an exponent into all its digits: 1e30000000 would never finish
+        if "e" in args.beta.lower():
+            raise ValueError
         beta = Fraction(args.beta)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"--beta must be an exact rational such as 2 or -1/3, got {args.beta!r}")
+        raise ValueError(
+            f"--beta must be an exact rational without an exponent, such as 2, -1/3 or 0.25, "
+            f"got {args.beta!r}"
+        )
     strs = [str(c) for c in deformed_exp_truncated(beta, args.order).coeffs]
     return _Result(
         human=strs,
@@ -222,7 +251,7 @@ def main(argv=None) -> int:
         if args.json:
             if not args.no_timing:
                 result.doc["elapsed_ms"] = round((perf_counter() - t0) * 1000, 3)
-            print(json.dumps(result.doc))
+            print(_json_document(result.doc))
         else:
             for line in result.human:
                 print(line)

@@ -117,6 +117,13 @@ TRANSCRIPTS = [
         "{3, 40} sums to a non-unit mod 9497\n"),
     ("series_accepts_fractions", "series --beta 1/3 --order 2 --json --no-timing",
         0, '{"inputs": {"beta": "1/3", "order": 2}, "coefficients": ["1", "1", "1/6"]}\n', ""),
+    ("series_accepts_plain_decimals", "series --beta 0.25 --order 3 --json --no-timing",
+        0, '{"inputs": {"beta": "1/4", "order": 3}, "coefficients": ["1", "1", "1/8", "1/384"]}\n',
+        ""),
+    # Fraction would expand the exponent into 30 million digits before anything bounds it
+    ("series_refuses_exponent_notation", "series --beta 1e30000000 --order 0",
+        2, "", "error: usage: --beta must be an exact rational without an exponent, such as 2, "
+        "-1/3 or 0.25, got '1e30000000'\n"),
 ]
 
 
@@ -193,12 +200,24 @@ def test_readme_cap_values_are_the_constants():
         assert constant == int(base) ** int(exponent or 1), f"{module}.{name}"
 
 
-def test_count_json_includes_timing_by_default(capsys):
-    code, out, _ = run_cli(capsys, ["count", "--n", "5", "--b", "0", "--coeffs", "1,1,3", "--json"])
-    assert code == 0
+@pytest.mark.parametrize("argv", [
+    "count --n 5 --b 0 --coeffs 1,1,3",
+    "check --n 6 --b 1 --coeffs 2,4",
+    "oracle-compare --n 5 --b 0 --coeffs 1,1,3",
+    "graph-table --kmax 4",
+    "graph-table --kmax 4 --connected",
+    "series --beta 1/3 --order 4",
+], ids=["count", "check", "oracle-compare", "graph-table", "graph-table-connected", "series"])
+def test_json_includes_timing_last_by_default(capsys, argv):
+    # the timed document is the untimed one with elapsed_ms appended as its last key
+    code, out, err = run_cli(capsys, argv.split() + ["--json"])
+    assert (code, err) == (0, "")
     doc = json.loads(out)
-    assert doc["count"] == "20"
-    assert isinstance(doc["elapsed_ms"], float)
+    assert list(doc)[-1] == "elapsed_ms"
+    assert isinstance(doc.pop("elapsed_ms"), float)
+    code, untimed, _ = run_cli(capsys, argv.split() + ["--json", "--no-timing"])
+    assert code == 0
+    assert doc == json.loads(untimed)
 
 
 def test_oracle_compare_disagreement_exits_one(capsys, monkeypatch):
@@ -262,17 +281,20 @@ def test_graph_table_at_the_cap_finishes(capsys):
     assert connected[1:] == connected_graph_totals(30)[1:]
 
 
-@pytest.mark.parametrize("mode, digest", [
-    ([], "ef672406c7a93e92991c44d7e4d960b3ab54a232be8f5552964e46cbb9acb8e0"),
-    (["--connected"], "cc8bf03c56b983555dab3c2e2cd4b36e45e6bda42c34290936d3376271d57066"),
+@pytest.mark.parametrize("mode, json_digest, human_digest", [
+    ([], "ef672406c7a93e92991c44d7e4d960b3ab54a232be8f5552964e46cbb9acb8e0",
+        "24bc26deed28348ce4ba0eaf901dd71d3df567c7baafe273683555cac2807caa"),
+    (["--connected"], "cc8bf03c56b983555dab3c2e2cd4b36e45e6bda42c34290936d3376271d57066",
+        "6f2b32875fd81089fa76b6db81b28e0cf504c464e585745ba50d391980244dff"),
 ], ids=["components", "connected"])
-def test_graph_table_at_the_cap_is_byte_identical(capsys, mode, digest):
-    # the SHA-256 of the whole document as the list convolutions printed it; the
-    # packed rows are widest here, 56-byte slots for k = 30
-    argv = ["graph-table", "--kmax", "30", "--json", "--no-timing"] + mode
-    code, out, err = run_cli(capsys, argv)
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+def test_graph_table_at_the_cap_is_byte_identical(capsys, mode, json_digest, human_digest):
+    # the SHA-256 of the whole output in each mode, as json.dumps printed each row dict;
+    # the packed rows are widest here, 56-byte slots for k = 30
+    argv = ["graph-table", "--kmax", "30"] + mode
+    for extra, digest in (["--json", "--no-timing"], json_digest), ([], human_digest):
+        code, out, err = run_cli(capsys, argv + extra)
+        assert (code, err) == (0, ""), extra
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, extra
 
 
 def test_series_output_is_byte_identical(capsys):
@@ -293,6 +315,8 @@ def test_usage_errors_exit_two(capsys):
         ["graph-table", "--kmax", "0"],
         ["series", "--beta", "x", "--order", "3"],
         ["series", "--beta", "1/0", "--order", "3"],
+        ["series", "--beta", "1e30000000", "--order", "0"],
+        ["series", "--beta=-2.5E-3", "--order", "0"],
         ["series", "--beta", "1", "--order", "-1"],
         ["count", "--n", "5", "--b", "0", "--coeffs", "1", "--method", "magic"],
         ["no-such-command"],
