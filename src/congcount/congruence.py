@@ -16,11 +16,14 @@ check_condition decides the subset-sum gcd hypothesis and reports the first
 failing subset, smallest size first, then lexicographically.  A subset sum is
 a non-unit exactly when a prime p | n divides it, so for each prime a
 subset-sum DP over residues mod p (bitsets per subset size, polynomial in k
-and p) finds the first zero-sum subset.  The DP runs for every prime that
-trial division finds within its budget and that fits the DP's table; when a
-prime is too large for it or a cofactor of n stays unfactored, subsets are
-scanned too, only those ordered before the DP primes' first witness if they
-found one; SUBSET_CAP bounds the work of both routes.
+and p) finds the first zero-sum subset.  One reach, the largest prime whose
+DP table fits in 2**SUBSET_CAP bits, bounds both trial division and the DP:
+trial division tries no more candidates than it takes to find every prime
+up to reach (nor more than 2**k, the scan's own size), and each prime it
+found up to reach gets the DP.  A prime factor of n left without a DP,
+found past reach or left in an unfactored cofactor, sends the subsets to a
+scan too, only those ordered before the DP primes' first witness if they
+found one, and at most 2**SUBSET_CAP of them.
 distinct_count_formula refuses to answer when the condition fails, since no
 closed form is claimed in that regime (the oracle module still counts).
 """
@@ -28,10 +31,9 @@ closed form is claimed in that regime (the oracle module still counts).
 import itertools
 import math
 from collections import namedtuple
-from fractions import Fraction
 from operator import index
 
-from .arith import euler_phi, factor_partially, factorize, falling_factorial, is_prime
+from .arith import factor_partially, factorize, falling_factorial, is_prime
 from .errors import HypothesisError, ResourceLimitError
 
 SUBSET_CAP = 24
@@ -100,17 +102,16 @@ def check_condition(inst: CongruenceInstance) -> ConditionReport:
     """Decide whether every nonempty proper index subset sums to a unit mod n.
 
     A sum is a non-unit exactly when some prime p | n divides it, so each
-    prime that trial division finds gets a subset-sum DP over residues mod p
-    (see _first_zero_sum_subset); the primes it cannot reach are left to a
-    subset scan.
-    SUBSET_CAP, read when called, bounds the work of either route: trial
-    division tries at most min(2**k, 2**SUBSET_CAP // (k+1)) divisors, so it
-    never does more steps than the scan; the DP runs for each prime p found
-    with (k+1)**2 * p <= 2**SUBSET_CAP, which bounds its table to
-    2**SUBSET_CAP bits.  When a cofactor of n stays unfactored, or some prime
-    is too large for the DP, subsets are scanned: only those before the first
-    DP witness, if there is one, else all 2**k - 2; a scan of more than
-    2**SUBSET_CAP subsets raises ResourceLimitError.
+    prime p | n that trial division finds with p <= reach = 2**SUBSET_CAP //
+    (k+1)**2 gets a subset-sum DP over residues mod p (see
+    _first_zero_sum_subset), in a table of at most 2**SUBSET_CAP bits.
+    SUBSET_CAP is read when called.  Trial division tries min(2**k, reach)
+    candidate divisors: never more steps than the scan, and no more than it
+    takes to find every prime up to reach.  A prime factor of n left without
+    a DP, found past reach or in an unfactored cofactor, is decided by the
+    subset scan: only the subsets before the first DP witness, if there is
+    one, else all 2**k - 2; a scan of more than 2**SUBSET_CAP subsets raises
+    ResourceLimitError.
 
     The reported failing subset is the first by size, then lexicographically,
     on either route.  For k = 1 the condition is vacuously true.
@@ -118,15 +119,14 @@ def check_condition(inst: CongruenceInstance) -> ConditionReport:
     k, n = inst.k, inst.n
     ell = math.gcd(sum(inst.coeffs), n)
     divides_b = inst.b % ell == 0
-    budget = 1 << SUBSET_CAP
-    # 1 << min(k, SUBSET_CAP) gives the same minimum as 2**k without building 2**k
-    pairs, rest = factor_partially(n, min(1 << min(k, SUBSET_CAP), budget // (k + 1)))
-    small = [p for p, _ in pairs if (k + 1) ** 2 * p <= budget]
-    witnesses = [_first_zero_sum_subset(inst.coeffs, p) for p in small]
+    reach = (1 << SUBSET_CAP) // (k + 1) ** 2
+    # reach <= 2**SUBSET_CAP, so 1 << min(k, SUBSET_CAP) gives the same minimum as 2**k
+    pairs, rest = factor_partially(n, min(1 << min(k, SUBSET_CAP), reach))
+    witnesses = [_first_zero_sum_subset(inst.coeffs, p) for p, _ in pairs if p <= reach]
     failing = min(
         (w for w in witnesses if w is not None), key=lambda w: (len(w), w), default=None
     )
-    if len(small) < len(pairs) or rest > 1:
+    if rest > 1 or any(p > reach for p, _ in pairs):
         failing = _scan_failing_subset(inst.coeffs, n, failing)
     return ConditionReport(failing is None, failing, ell, divides_b)
 
@@ -156,13 +156,9 @@ def _scan_failing_subset(coeffs, n: int, before=None) -> tuple[int, ...] | None:
 def _subset_rank(k: int, subset: tuple[int, ...]) -> int:
     """Number of nonempty subsets of 1..k ordered before subset by size, then lexicographically."""
     size = len(subset)
-    rank = sum(math.comb(k, s) for s in range(1, size))
-    prev = 0
-    for i, c in enumerate(subset):
-        # subsets agreeing before position i and smaller at it
-        rank += sum(math.comb(k - v, size - i - 1) for v in range(prev + 1, c))
-        prev = c
-    return rank
+    # comb(k - c, size - i) same-size subsets agree before position i and are larger at it
+    after = sum(math.comb(k - c, size - i) for i, c in enumerate(subset))
+    return sum(math.comb(k, s) for s in range(1, size + 1)) - 1 - after
 
 
 def _first_zero_sum_subset(coeffs, p: int) -> tuple[int, ...] | None:
@@ -251,23 +247,22 @@ def schoenemann_count(p: int, coeffs) -> int:
 def rademacher_brauer_count(n: int, k: int, b: int) -> int:
     """Solutions of x1 + ... + xk = b (mod n) with every gcd(xi, n) = 1.
 
-    Evaluates phi(n)**k / n times a product over prime divisors p of n:
-    factor 1 - (-1)**(k-1) / (p-1)**(k-1) when p divides b, else
-    1 - (-1)**k / (p-1)**k.  Exact rational arithmetic throughout; the result
-    is checked to be a non-negative integer.  For n = 1 the empty product
-    gives 1, the all-zero tuple (gcd(0, 1) = 1).
+    A product over the prime powers p**e of n, in integers: the count mod p
+    is ((p-1)**k + (-1)**k * (p-1)) / p when p divides b, else
+    ((p-1)**k - (-1)**k) / p, and each of the e-1 further digits of p**e
+    multiplies it by p**(k-1).  A bracket that p does not divide raises
+    AssertionError.  For n = 1 the empty product gives 1, the all-zero tuple
+    (gcd(0, 1) = 1).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    value = Fraction(euler_phi(n) ** k, n)
-    for p, _ in factorize(n):
-        if b % p == 0:
-            value *= 1 - Fraction((-1) ** (k - 1), (p - 1) ** (k - 1))
-        else:
-            value *= 1 - Fraction((-1) ** k, (p - 1) ** k)
-    if value.denominator != 1 or value < 0:
-        raise AssertionError(f"non-integral count {value}")
-    return int(value)
+    value = 1
+    for p, e in factorize(n):
+        bracket = (p - 1) ** k + (-1) ** k * (p - 1 if b % p == 0 else -1)
+        if bracket % p:
+            raise AssertionError(f"non-integral count mod {p}: {bracket}/{p}")
+        value *= p ** ((e - 1) * (k - 1)) * (bracket // p)
+    return value
 

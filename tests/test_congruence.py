@@ -3,13 +3,13 @@ import pickle
 import random
 import re
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import gcd, perm
 
 import pytest
 
 from congcount import congruence
-from congcount.arith import factorize
+from congcount.arith import euler_phi, factorize
 from congcount.congruence import (
     CongruenceInstance,
     check_condition,
@@ -273,6 +273,55 @@ def test_check_condition_runs_the_dp_for_primes_found_before_an_unfactored_cofac
             assert [call["before"] for call in scans] == [first], (coeffs, n)
 
 
+def test_subset_rank_is_the_scan_position():
+    # the closed form counts the subsets before each one in the scan's order
+    for k in range(1, 13):
+        subsets = (combinations(range(1, k + 1), size) for size in range(1, k + 1))
+        for position, subset in enumerate(s for group in subsets for s in group):
+            assert congruence._subset_rank(k, subset) == position, (k, subset)
+
+
+@pytest.mark.parametrize("k, trials", [(3, 8), (16, 58052), (17, 51781), (25, 24818)])
+def test_check_condition_trial_budget_is_the_dp_reach(monkeypatch, k, trials):
+    # min(2**k, reach) candidates, reach = 2**24 // (k+1)**2 the largest prime
+    # the residue DP takes: the DP's reach bounds trial division from k = 16 on
+    assert trials == min(2**k, 2**congruence.SUBSET_CAP // (k + 1) ** 2)
+    calls = record_calls(monkeypatch, "factor_partially", congruence)
+    assert check_condition(CongruenceInstance((1,) * k, 0, 101)).holds == (k < 101)
+    assert [call["max_trials"] for call in calls] == [trials]
+
+
+def _prime_from(x, step):
+    while not trial_division_prime(x):
+        x += step
+    return x
+
+
+@pytest.mark.parametrize("k", [16, 17, 18])
+def test_check_condition_matches_subset_scan_at_the_dp_reach(k):
+    # n = p * q with p the largest prime the residue DP takes and q the next
+    # one, which trial division finds but leaves to the scan.  Coefficients
+    # planted as multiples of p or q, or as completions of a small block to 0
+    # mod p or q, put witnesses of sizes 1-3 on either route.
+    reach = 2**congruence.SUBSET_CAP // (k + 1) ** 2
+    p, q = _prime_from(reach, -1), _prime_from(reach + 1, 1)
+    n = p * q
+    rng = random.Random(f"reach:{k}")
+    for _ in range(12):
+        coeffs = [rng.randrange(n) for _ in range(k)]
+        for _ in range(rng.randint(1, 3)):
+            prime = rng.choice((p, q))
+            i = rng.randrange(k)
+            if rng.random() < 0.3:
+                coeffs[i] = prime * rng.randrange(1, n // prime)
+            else:
+                block = rng.sample([j for j in range(k) if j != i], rng.randint(1, 2))
+                coeffs[i] = -sum(coeffs[j] for j in block) % prime
+        b = rng.randrange(n)
+        rep = check_condition(CongruenceInstance(coeffs, b, n))
+        assert _report_tuple(rep) == reference_condition(tuple(coeffs), b, n), (coeffs, n)
+
+
 def test_formula_examples():
     assert distinct_count_formula(CongruenceInstance((1, 1, 3), 0, 5)) == 20
     assert distinct_count_formula(CongruenceInstance((1, 1, 3), 1, 5)) == 10
@@ -392,6 +441,13 @@ def test_rademacher_brauer_matches_enumeration_small():
                 assert rademacher_brauer_count(n, k, b) == hist[b]
     # negative b reduces the same way
     assert rademacher_brauer_count(9, 2, -5) == rademacher_brauer_count(9, 2, 4)
+
+
+def test_rademacher_brauer_counts_sum_to_all_unit_tuples():
+    for n in range(1, 201):
+        for k in range(1, 7):
+            total = sum(rademacher_brauer_count(n, k, b) for b in range(n))
+            assert total == euler_phi(n) ** k, (n, k)
 
 
 def test_distinct_count_dispatch():
