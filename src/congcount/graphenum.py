@@ -8,13 +8,15 @@ other k-j.  Gluing the (c-1)-component graphs gives g(c, ., k) for c >= 2;
 gluing every graph, for j < k, gives all disconnected graphs at once.  Either
 way g'(., k) is what is left of all C(C(k,2), .) graphs.
 
-Each g'(., k) and each g(c, ., k) is built as a row, a list indexed by the
-edge count e from 0 to its largest nonzero entry (C(k, 2) for g', C(k-c+1, 2)
-for g).  The graphs on k vertices, counted by edges, are the Pascal row
-C(m, .), m = C(k, 2), so each glued row is a sum of row convolutions.  Each
-convolution is one big-integer product: a row is packed as its value at
-y = 2**(8w), one w-byte little-endian slot per coefficient, and each row of k
-is unpacked once from its packed value into its coefficients.
+One builder, _table, makes both tables.  For each k it builds g'(., k) and,
+for the component table, each g(c, ., k) as a row, a list indexed by the edge
+count e from 0 to its largest nonzero entry (C(k, 2) for g', C(k-c+1, 2) for
+g).  Both modes store the rows of k in one layout: the Pascal row, then g'
+and the g rows that exist.  The graphs on k vertices, counted by edges, are
+the Pascal row C(m, .), m = C(k, 2), so each glued row is a sum of row
+convolutions.  Each convolution is one big-integer product: a row is packed as
+its value at y = 2**(8w), one w-byte little-endian slot per coefficient, and
+each row of k is unpacked once from its packed value into its coefficients.
 
 The slots never borrow or carry, because every coefficient of every partial
 sum lies in [0, 2**C(k,2)]: each term and each partial sum of a glued row
@@ -24,9 +26,9 @@ most C(C(k,2), e) in every slot and does not carry, and subtracting it from the
 Pascal row leaves g'(e, k) >= 0 in every slot, so the difference does not
 borrow.  Row k therefore needs C(k,2)+1 bits a slot.  The width w steps up in
 8-byte steps as k grows, and the rows already packed, Pascal rows included,
-are repacked from their coefficient lists only when it does.  The unpacked
-rows become the dicts of GraphCountTable, keyed (e, k) and (c, e, k) and
-inserted in (k, e) and (k, c, e) order.
+are repacked from their coefficient lists only when it does.  The same builder
+turns the unpacked rows into the dicts of GraphCountTable, keyed (e, k) and
+(c, e, k) and inserted in (k, e) and (k, c, e) order.
 
 The paper's identities sum_e (-1)**e g'(e, k) = (-1)**(k-1) (k-1)! and
 sum_{c,e} (-1)**e n**c g(c, e, k) = n(n-1)...(n-k+1) are coefficients of
@@ -84,13 +86,15 @@ def _unpack(value: int, width: int, length: int) -> list[int]:
     return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
 
 
-def _rows(k_max: int, components: bool) -> tuple[list[list[list[int]]], int]:
-    # rows[k][0] is the Pascal row of C(k,2) and rows[k][c] = g(c, ., k) for c >= 1.
-    # One glue makes every glued row: the sum of C(k-1, j-1) g'(., j) times row r
-    # of the other k-j vertices over j = 1..k-max(r, 1).  With components, r = c-1
-    # gives g(c, ., k) for c >= 2; without, the one span r = 0 gives every
-    # disconnected graph.  g'(., k) is the Pascal row minus the glued rows.
-    # Returns the rows and the number of packed products.
+def _table(k_max, components: bool) -> tuple[GraphCountTable, int]:
+    # The table, with g only when components is true, and its number of packed products.
+    # packed[k] and rows[k] share one layout: the Pascal row of C(k,2), then g(c, ., k)
+    # from c = 1.  One glue makes every glued row: the sum of C(k-1, j-1) g'(., j)
+    # times row r of the other k-j vertices over j = 1..k-max(r, 1).  With
+    # components, r = c-1 gives g(c, ., k) for c >= 2; without, the one span r = 0
+    # gives every disconnected graph, which is no row of the table.  g'(., k) is
+    # the Pascal row minus the glued rows.
+    k_max = _check_kmax(k_max)
     rows, width, products = [[[1]]], 0, 0
     for k in range(1, k_max + 1):
         if _slot_bytes(k) > width:  # repack what the products read at the wider slots
@@ -106,23 +110,10 @@ def _rows(k_max: int, components: bool) -> tuple[list[list[list[int]]], int]:
             for r in (range(1, k) if components else (0,))
         ]
         products += m if components else k - 1
-        gprime = everything - sum(glued)
-        row = _unpack(gprime, width, m + 1)
-        if components:
-            # row c = r+1 ends at e = C(k-r, 2): one component complete, the rest isolated
-            packed.append([everything, gprime] + glued)
-            rows.append([pascal, row]
-                        + [_unpack(v, width, comb(k - r, 2) + 1) for r, v in enumerate(glued, 1)])
-        else:  # the one span's glued row is no row of the table
-            packed.append([everything, gprime])
-            rows.append([pascal, row])
-    return rows, products
-
-
-def _table(k_max, components: bool) -> tuple[GraphCountTable, int]:
-    # the table, with g only when components is true, and its number of packed products
-    k_max = _check_kmax(k_max)
-    rows, products = _rows(k_max, components)
+        values = [everything - sum(glued), *(glued if components else ())]
+        packed.append([everything, *values])
+        # row c = r+1 ends at e = C(k-r, 2): one component complete, the rest isolated
+        rows.append([pascal, *[_unpack(v, width, comb(k - r, 2) + 1) for r, v in enumerate(values)]])
     gprime = {(e, k): v for k in range(1, k_max + 1) for e, v in enumerate(rows[k][1]) if v}
     g = {
         (c, e, k): v

@@ -6,21 +6,23 @@ and the grid it swept; run with `pytest tests/test_acceptance.py -v -s` to
 see them.
 """
 
+import random
 from itertools import product
-from math import comb, factorial, perm
+from math import comb, factorial, gcd, perm
 from time import perf_counter
 
 from congcount.arith import falling_factorial
 from congcount.congruence import (
     CongruenceInstance,
     check_condition,
+    distinct_count_formula,
     lehmer_count,
     rademacher_brauer_count,
     schoenemann_count,
 )
 from congcount.graphenum import component_counts
 from congcount.methods import METHODS
-from congcount.oracle import brute_force_distinct
+from congcount.oracle import brute_force_distinct, iep_partitions
 from congcount.series import (
     SeriesPoly,
     bivar_log,
@@ -34,6 +36,7 @@ from support import (
     alt_sum_connected,
     congruence_histogram,
     edge_subset_graph_counts,
+    trial_division_prime,
     unit_histogram,
 )
 
@@ -71,6 +74,65 @@ def test_formula_matches_brute_force_grid(exhaustive_grid):
                 checked += 1
     assert checked
     _report("closed form == brute force exactly where the subset-gcd condition holds (n<=8, k<=4)", checked, t0)
+
+
+def _prime_between(rng, lo, hi, avoid=None):
+    while True:
+        p = rng.randint(lo, hi)
+        if p != avoid and trial_division_prime(p):
+            return p
+
+
+def _condition_holding(rng, k, coeff_max, shape):
+    """(n, p, coeffs): the condition holds by construction.
+
+    Every prime factor of n exceeds k * coeff_max, so the first k-1
+    coefficients, drawn from [1, coeff_max], and all their subset sums are
+    units.  shape bit 0: n = p*q instead of p.  shape bit 1: the last
+    coefficient makes the full sum 0 mod p (l = p), else it is drawn like the
+    others (l = 1).  With l = p, a proper subset holding the last coefficient
+    sums to minus a nonempty excluded sum mod p, and to at most k * coeff_max
+    mod q, so it is a unit too.
+    """
+    lo = k * coeff_max + 1
+    p = _prime_between(rng, lo, 4 * lo)
+    q = _prime_between(rng, lo, 4 * lo, avoid=p) if shape & 1 else 1
+    coeffs = [rng.randint(1, coeff_max) for _ in range(k - 1)]
+    if shape & 2:
+        # CRT: last = -head (mod p), last in [1, coeff_max] (mod q)
+        last = -sum(coeffs) % p
+        if q > 1:
+            last += p * ((rng.randint(1, coeff_max) - last) * pow(p, -1, q) % q)
+    else:
+        last = rng.randint(1, coeff_max)
+    coeffs.append(last)
+    assert gcd(sum(coeffs), p * q) == (p if shape & 2 else 1)
+    return p * q, p, coeffs
+
+
+def test_formula_matches_partition_oracle_past_brute_force():
+    # k = 5..16, far past the exhaustive grid: n = p or p*q with every prime factor
+    # above k * coeff_max; in half the instances l = p, so iep_partitions runs its
+    # subset DP for d = p
+    t0 = perf_counter()
+    rng = random.Random(25)
+    checked = dp_runs = prime_cases = 0
+    for k in range(5, 17):
+        for shape in range(4):
+            n, p, coeffs = _condition_holding(rng, k, 50, shape)
+            for b in (0, p, 1, rng.randrange(n)):
+                inst = CongruenceInstance(coeffs, b, n)
+                assert check_condition(inst).holds, inst
+                stats = {}
+                value = iep_partitions(inst, stats)
+                assert distinct_count_formula(inst) == value, inst
+                checked += 1
+                dp_runs += stats["divisors"]
+                if shape == 2 and b == 0:  # n = p and l = p: the prime case
+                    assert schoenemann_count(p, coeffs) == value, inst
+                    prime_cases += 1
+    assert (checked, dp_runs, prime_cases) == (192, 96, 12)
+    _report("closed form == partition inclusion-exclusion where the condition holds (5<=k<=16)", checked, t0)
 
 
 def test_schoenemann_counts_coefficient_independent():

@@ -7,14 +7,20 @@ import subprocess
 import sys
 import time
 from importlib import import_module
-from math import comb, perm
+from math import comb, factorial, perm
 from pathlib import Path
 
 import pytest
 
 import congcount
 from congcount import cli, congruence, graphenum, oracle
-from support import connected_graph_totals, record_calls, reference_graph_tables
+from support import (
+    alt_sum_all,
+    alt_sum_connected,
+    connected_graph_totals,
+    record_calls,
+    reference_graph_tables,
+)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -273,12 +279,24 @@ def test_graph_table_at_the_cap_finishes(capsys):
     assert elapsed < 10, f"graph-table --kmax 30 took {elapsed:.1f} s"
     all_graphs = [0] * 31
     connected = [0] * 31
+    g, gprime = {}, {}
     for row in json.loads(out)["rows"]:
-        all_graphs[row["k"]] += int(row["count"])
-        if row["c"] == 1:
-            connected[row["k"]] += int(row["count"])
+        c, e, k, count = row["c"], row["e"], row["k"], int(row["count"])
+        g[(c, e, k)] = count
+        all_graphs[k] += count
+        if c == 1:
+            gprime[(e, k)] = count
+            connected[k] += count
     assert all_graphs[1:] == [2 ** comb(k, 2) for k in range(1, 31)]
     assert connected[1:] == connected_graph_totals(30)[1:]
+    # the paper's two identities at every k <= 30, summed from the printed rows
+    # and, for g', from the connected table too
+    connected_table = graphenum.connected_counts(30).gprime
+    for k in range(1, 31):
+        want = (-1) ** (k - 1) * factorial(k - 1)
+        assert alt_sum_connected(gprime, k) == alt_sum_connected(connected_table, k) == want, k
+        for t in (1, 2, 30, 31):
+            assert alt_sum_all(g, k, t) == perm(t, k), (k, t)
 
 
 @pytest.mark.parametrize("mode, json_digest, human_digest", [

@@ -226,7 +226,7 @@ def test_one_function_packs_graph_rows_and_one_unpacks_them():
 
 
 def test_one_function_builds_graph_rows_and_one_place_repacks_them():
-    """graphenum's two tables come from one row builder: it alone unpacks rows and reads the slot width."""
+    """graphenum's two tables come from one builder: it alone unpacks rows, reads the slot width and makes the table."""
     tree = ast.parse(inspect.getsource(congcount.graphenum))
     functions = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
 
@@ -241,5 +241,7 @@ def test_one_function_builds_graph_rows_and_one_place_repacks_them():
             )
         ]
 
-    assert len(callers("_unpack")) == 1
-    assert len(callers("_slot_bytes")) == 1
+    builders = callers("_unpack")
+    assert len(builders) == 1
+    assert callers("_slot_bytes") == builders
+    assert callers("GraphCountTable") == builders
