@@ -130,6 +130,21 @@ TRANSCRIPTS = [
     ("series_refuses_exponent_notation", "series --beta 1e30000000 --order 0",
         2, "", "error: usage: --beta must be an exact rational without an exponent, such as 2, "
         "-1/3 or 0.25, got '1e30000000'\n"),
+    # usage errors of the top level and of a subcommand
+    ("missing_subcommand_is_a_usage_error", "",
+        2, "", "error: usage: the following arguments are required: subcommand\n"),
+    ("unknown_subcommand_is_a_usage_error", "bogus",
+        2, "", "error: usage: argument subcommand: invalid choice: 'bogus' (choose from "
+        "'count', 'check', 'oracle-compare', 'graph-table', 'series')\n"),
+    # --json belongs to the subcommand, so the top level does not know it
+    ("option_before_subcommand_is_unrecognized", "--json count --n 5 --b 0 --coeffs 1",
+        2, "", "error: usage: unrecognized arguments: --json\n"),
+    ("count_without_b_is_a_usage_error", "count --n 5 --coeffs 1",
+        2, "", "error: usage: the following arguments are required: --b\n"),
+    ("count_with_unknown_option_is_a_usage_error", "count --n 5 --b 0 --coeffs 1 --bogus",
+        2, "", "error: usage: unrecognized arguments: --bogus\n"),
+    ("count_with_stray_positional_is_a_usage_error", "count --n 5 --b 0 --coeffs 1 extra",
+        2, "", "error: usage: unrecognized arguments: extra\n"),
 ]
 
 
@@ -394,6 +409,96 @@ def test_help_exits_zero(capsys, monkeypatch):
     assert re.search(r"\w-\n", out) is None
 
 
+# Every --help text at COLUMNS=80, byte for byte: the top level's, then each subcommand's.
+HELP_AT_80_COLUMNS = {
+    "--help": """\
+usage: congcount [-h] {count,check,oracle-compare,graph-table,series} ...
+
+Exact counting of linear-congruence solutions with pairwise-distinct
+coordinates.
+
+positional arguments:
+  {count,check,oracle-compare,graph-table,series}
+    count               count distinct-coordinate solutions
+    check               check the subset-sum gcd condition
+    oracle-compare      run all applicable methods and compare
+    graph-table         emit labeled-graph counts as JSON lines
+    series              emit deformed-exponential coefficients as fractions
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "count --help": """\
+usage: congcount count [-h] [--json] [--no-timing] --n N --b B --coeffs COEFFS
+                       [--method {formula,iep-edges,iep-partitions,brute}]
+
+options:
+  -h, --help            show this help message and exit
+  --json                emit one JSON document
+  --no-timing           omit elapsed_ms for reproducible output
+  --n N                 modulus (>= 1)
+  --b B                 right-hand side
+  --coeffs COEFFS       comma-separated integers, e.g. --coeffs=-1,7,3
+  --method {formula,iep-edges,iep-partitions,brute}
+                        default: 0 by pigeonhole when k > n, else formula when
+                        the subset-sum gcd condition holds, else
+                        iep-partitions (also when the condition check is over
+                        budget)
+""",
+    "check --help": """\
+usage: congcount check [-h] [--json] [--no-timing] --n N [--b B] --coeffs
+                       COEFFS
+
+options:
+  -h, --help       show this help message and exit
+  --json           emit one JSON document
+  --no-timing      omit elapsed_ms for reproducible output
+  --n N            modulus (>= 1)
+  --b B            also report whether gcd(sum, n) divides b
+  --coeffs COEFFS  comma-separated integers, e.g. --coeffs=-1,7,3
+""",
+    "oracle-compare --help": """\
+usage: congcount oracle-compare [-h] [--json] [--no-timing] --n N --b B
+                                --coeffs COEFFS
+
+options:
+  -h, --help       show this help message and exit
+  --json           emit one JSON document
+  --no-timing      omit elapsed_ms for reproducible output
+  --n N            modulus (>= 1)
+  --b B            right-hand side
+  --coeffs COEFFS  comma-separated integers, e.g. --coeffs=-1,7,3
+""",
+    "graph-table --help": """\
+usage: congcount graph-table [-h] [--json] [--no-timing] --kmax KMAX
+                             [--connected]
+
+options:
+  -h, --help   show this help message and exit
+  --json       emit one JSON document
+  --no-timing  omit elapsed_ms for reproducible output
+  --kmax KMAX  largest vertex count (1..30)
+  --connected  emit connected counts g'(e,k) instead of g(c,e,k)
+""",
+    "series --help": """\
+usage: congcount series [-h] [--json] [--no-timing] --beta BETA --order ORDER
+
+options:
+  -h, --help     show this help message and exit
+  --json         emit one JSON document
+  --no-timing    omit elapsed_ms for reproducible output
+  --beta BETA    exact rational, e.g. 2, 1/3 or --beta=-1/3
+  --order ORDER  truncation order (>= 0)
+""",
+}
+
+
+@pytest.mark.parametrize("argv", HELP_AT_80_COLUMNS)
+def test_help_text_is_byte_identical(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(capsys, argv.split()) == (0, HELP_AT_80_COLUMNS[argv], "")
+
+
 def option_help(text):
     """Map each option listed in an argparse --help text to its help, wrapped lines joined."""
     entries, current = {}, None
@@ -428,10 +533,12 @@ def test_every_option_has_one_help_text(capsys, monkeypatch):
 
 
 def test_graph_table_help_reads_the_cap(capsys, monkeypatch):
-    monkeypatch.setattr(graphenum, "KMAX_CAP", 12)
-    code, out, _ = run_cli(capsys, ["graph-table", "--help"])
-    assert code == 0
-    assert option_help(out)["--kmax"] == "largest vertex count (1..12)"
+    # twice in one process: a parser kept from the first call would show the first cap
+    for cap in (30, 12):
+        monkeypatch.setattr(graphenum, "KMAX_CAP", cap)
+        code, out, _ = run_cli(capsys, ["graph-table", "--help"])
+        assert code == 0
+        assert option_help(out)["--kmax"] == f"largest vertex count (1..{cap})"
 
 
 def test_console_script_entry_point(capsys, monkeypatch):
