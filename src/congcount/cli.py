@@ -8,7 +8,8 @@ when oracle-compare gets fewer than two answers to compare).
 With --json each subcommand emits one JSON document instead of the
 human-readable text; --no-timing drops the elapsed_ms field so output is
 byte-for-byte reproducible.  Counts and other unbounded integers are printed
-as decimal strings.
+as decimal strings.  A call builds only the parser of the subcommand it
+names, and the full tree only for --help or a missing or unknown subcommand.
 """
 
 import argparse
@@ -186,14 +187,61 @@ def _run_series(args) -> _Result:
     )
 
 
-def _add_instance_arguments(p: _Parser, b_help: str, b_required: bool = True) -> None:
+def _add_instance_arguments(
+    p: _Parser, b_help: str = "right-hand side", b_required: bool = True
+) -> None:
     """--n, --b and --coeffs, in this order: argparse names missing options in definition order."""
     p.add_argument("--n", type=int, required=True, help="modulus (>= 1)")
     p.add_argument("--b", type=int, required=b_required, help=b_help)
     p.add_argument("--coeffs", required=True, help="comma-separated integers, e.g. --coeffs=-1,7,3")
 
 
-def _build_parser() -> _Parser:
+def _count_arguments(p: _Parser) -> None:
+    _add_instance_arguments(p)
+    p.add_argument(
+        "--method",
+        choices=METHODS,
+        help="default: 0 by pigeonhole when k > n, else formula when the subset-sum gcd "
+        "condition holds, else iep-partitions (also when the condition check is over budget)",
+    )
+
+
+def _check_arguments(p: _Parser) -> None:
+    _add_instance_arguments(p, "also report whether gcd(sum, n) divides b", b_required=False)
+
+
+def _graph_table_arguments(p: _Parser) -> None:
+    p.add_argument(
+        "--kmax", type=int, required=True, help=f"largest vertex count (1..{graphenum.KMAX_CAP})"
+    )
+    p.add_argument(
+        "--connected", action="store_true", help="emit connected counts g'(e,k) instead of g(c,e,k)"
+    )
+
+
+def _series_arguments(p: _Parser) -> None:
+    p.add_argument("--beta", required=True, help="exact rational, e.g. 2, 1/3 or --beta=-1/3")
+    p.add_argument("--order", type=int, required=True, help="truncation order (>= 0)")
+
+
+# each subcommand, in --help order: its handler, its help line and what adds its own arguments
+_SUBCOMMANDS = {
+    "count": (_run_count, "count distinct-coordinate solutions", _count_arguments),
+    "check": (_run_check, "check the subset-sum gcd condition", _check_arguments),
+    "oracle-compare": (
+        _run_compare, "run all applicable methods and compare", _add_instance_arguments
+    ),
+    "graph-table": (
+        _run_graph_table, "emit labeled-graph counts as JSON lines", _graph_table_arguments
+    ),
+    "series": (
+        _run_series, "emit deformed-exponential coefficients as fractions", _series_arguments
+    ),
+}
+
+
+def _build_parser(name=None) -> _Parser:
+    """The top-level parser with the subparser of name alone, or of all when name is no subcommand."""
     summary = sys.modules[__package__].__doc__.splitlines()[0]  # the package's, not this module's
     parser = _Parser(prog="congcount", description=summary)
     common = _Parser(add_help=False)
@@ -202,34 +250,9 @@ def _build_parser() -> _Parser:
         "--no-timing", action="store_true", help="omit elapsed_ms for reproducible output"
     )
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-
-    def command(name, handler, about) -> _Parser:
-        p = sub.add_parser(name, parents=[common], help=about)
-        p.set_defaults(handler=handler)
-        return p
-
-    p = command("count", _run_count, "count distinct-coordinate solutions")
-    _add_instance_arguments(p, "right-hand side")
-    p.add_argument(
-        "--method",
-        choices=METHODS,
-        help="default: 0 by pigeonhole when k > n, else formula when the subset-sum gcd "
-        "condition holds, else iep-partitions (also when the condition check is over budget)",
-    )
-    p = command("check", _run_check, "check the subset-sum gcd condition")
-    _add_instance_arguments(p, "also report whether gcd(sum, n) divides b", b_required=False)
-    p = command("oracle-compare", _run_compare, "run all applicable methods and compare")
-    _add_instance_arguments(p, "right-hand side")
-    p = command("graph-table", _run_graph_table, "emit labeled-graph counts as JSON lines")
-    p.add_argument(
-        "--kmax", type=int, required=True, help=f"largest vertex count (1..{graphenum.KMAX_CAP})"
-    )
-    p.add_argument(
-        "--connected", action="store_true", help="emit connected counts g'(e,k) instead of g(c,e,k)"
-    )
-    p = command("series", _run_series, "emit deformed-exponential coefficients as fractions")
-    p.add_argument("--beta", required=True, help="exact rational, e.g. 2, 1/3 or --beta=-1/3")
-    p.add_argument("--order", type=int, required=True, help="truncation order (>= 0)")
+    for each in [name] if name in _SUBCOMMANDS else _SUBCOMMANDS:
+        _, about, add_arguments = _SUBCOMMANDS[each]
+        add_arguments(sub.add_parser(each, parents=[common], help=about))
     return parser
 
 
@@ -238,9 +261,11 @@ def main(argv=None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     t0 = perf_counter()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _build_parser().parse_args(argv)
-        result = args.handler(args)
+        args = _build_parser(argv[0] if argv else None).parse_args(argv)
+        result = _SUBCOMMANDS[args.subcommand][0](args)
     except SystemExit:  # argparse --help; _Parser.error raises ValueError instead
         return 0
     except tuple(_EXIT_CODES) as exc:

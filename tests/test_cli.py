@@ -1,3 +1,4 @@
+import argparse
 import ast
 import hashlib
 import json
@@ -499,6 +500,35 @@ def test_help_text_is_byte_identical(capsys, monkeypatch, argv):
     assert run_cli(capsys, argv.split()) == (0, HELP_AT_80_COLUMNS[argv], "")
 
 
+SUBCOMMANDS = ["count", "check", "oracle-compare", "graph-table", "series"]
+
+
+@pytest.mark.parametrize("argv, built", [
+    ("count --n 5 --b 0 --coeffs 1,1,3", ["count"]),
+    ("check --n 6 --coeffs 2,4", ["check"]),
+    ("oracle-compare --n 5 --b 0 --coeffs 1,1,3", ["oracle-compare"]),
+    ("graph-table --kmax 3", ["graph-table"]),
+    ("series --beta 2 --order 3", ["series"]),
+    ("count --help", ["count"]),
+    ("--help", SUBCOMMANDS),
+    ("", SUBCOMMANDS),
+    ("bogus", SUBCOMMANDS),
+    ("--json count --n 5 --b 0 --coeffs 1", SUBCOMMANDS),
+])
+def test_a_call_builds_only_the_subparser_it_names(capsys, monkeypatch, argv, built):
+    # the full tree only for --help or a missing, unknown or option-like first argument
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def recording(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording)
+    run_cli(capsys, argv.split())
+    assert names == built
+
+
 def option_help(text):
     """Map each option listed in an argparse --help text to its help, wrapped lines joined."""
     entries, current = {}, None
@@ -515,7 +545,7 @@ def option_help(text):
 def test_every_option_has_one_help_text(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     helps = {}
-    for name in ("count", "check", "oracle-compare", "graph-table", "series"):
+    for name in SUBCOMMANDS:
         code, out, _ = run_cli(capsys, [name, "--help"])
         assert code == 0
         # textwrap's default would split iep-partitions after its hyphen
