@@ -8,8 +8,10 @@ when oracle-compare gets fewer than two answers to compare).
 With --json each subcommand emits one JSON document instead of the
 human-readable text; --no-timing drops the elapsed_ms field so output is
 byte-for-byte reproducible.  Counts and other unbounded integers are printed
-as decimal strings.  A call builds only the parser of the subcommand it
-names, and the full tree only for --help or a missing or unknown subcommand.
+as decimal strings.  A call whose first argument names a subcommand builds
+that subcommand's parser alone, as a standalone parser with prog "congcount
+<name>", and parses the rest of argv with it; the full tree of subparsers is
+built only for --help or a missing, unknown or option-like first argument.
 """
 
 import argparse
@@ -240,19 +242,25 @@ _SUBCOMMANDS = {
 }
 
 
-def _build_parser(name=None) -> _Parser:
-    """The top-level parser with the subparser of name alone, or of all when name is no subcommand."""
-    summary = sys.modules[__package__].__doc__.splitlines()[0]  # the package's, not this module's
-    parser = _Parser(prog="congcount", description=summary)
-    common = _Parser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit one JSON document")
-    common.add_argument(
+def _with_arguments(p: _Parser, name: str) -> _Parser:
+    """p with --json and --no-timing, then the arguments of subcommand name, in --help order."""
+    p.add_argument("--json", action="store_true", help="emit one JSON document")
+    p.add_argument(
         "--no-timing", action="store_true", help="omit elapsed_ms for reproducible output"
     )
+    _SUBCOMMANDS[name][2](p)
+    return p
+
+
+def _build_parser(name=None) -> _Parser:
+    """The standalone parser of subcommand name, or the full tree when name is no subcommand."""
+    if name in _SUBCOMMANDS:
+        return _with_arguments(_Parser(prog=f"congcount {name}"), name)
+    summary = sys.modules[__package__].__doc__.splitlines()[0]  # the package's, not this module's
+    parser = _Parser(prog="congcount", description=summary)
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-    for each in [name] if name in _SUBCOMMANDS else _SUBCOMMANDS:
-        _, about, add_arguments = _SUBCOMMANDS[each]
-        add_arguments(sub.add_parser(each, parents=[common], help=about))
+    for each, (_, about, _) in _SUBCOMMANDS.items():
+        _with_arguments(sub.add_parser(each, help=about), each)
     return parser
 
 
@@ -264,8 +272,10 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = _build_parser(argv[0] if argv else None).parse_args(argv)
-        result = _SUBCOMMANDS[args.subcommand][0](args)
+        # a named subcommand parses the rest alone; anything else goes through the full tree
+        name = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+        args = _build_parser(name).parse_args(argv[1:] if name else argv)
+        result = _SUBCOMMANDS[name or args.subcommand][0](args)
     except SystemExit:  # argparse --help; _Parser.error raises ValueError instead
         return 0
     except tuple(_EXIT_CODES) as exc:

@@ -1,4 +1,3 @@
-import argparse
 import ast
 import hashlib
 import json
@@ -446,7 +445,19 @@ options:
                         iep-partitions (also when the condition check is over
                         budget)
 """,
+    # argparse 3.13 wraps this usage line before --coeffs, earlier versions after it
     "check --help": """\
+usage: congcount check [-h] [--json] [--no-timing] --n N [--b B]
+                       --coeffs COEFFS
+
+options:
+  -h, --help       show this help message and exit
+  --json           emit one JSON document
+  --no-timing      omit elapsed_ms for reproducible output
+  --n N            modulus (>= 1)
+  --b B            also report whether gcd(sum, n) divides b
+  --coeffs COEFFS  comma-separated integers, e.g. --coeffs=-1,7,3
+""" if sys.version_info >= (3, 13) else """\
 usage: congcount check [-h] [--json] [--no-timing] --n N [--b B] --coeffs
                        COEFFS
 
@@ -503,30 +514,84 @@ def test_help_text_is_byte_identical(capsys, monkeypatch, argv):
 SUBCOMMANDS = ["count", "check", "oracle-compare", "graph-table", "series"]
 
 
+# the prog of each parser the full tree builds: the top level's, then each subcommand's
+FULL_TREE = ["congcount", *(f"congcount {name}" for name in SUBCOMMANDS)]
+
+
 @pytest.mark.parametrize("argv, built", [
-    ("count --n 5 --b 0 --coeffs 1,1,3", ["count"]),
-    ("check --n 6 --coeffs 2,4", ["check"]),
-    ("oracle-compare --n 5 --b 0 --coeffs 1,1,3", ["oracle-compare"]),
-    ("graph-table --kmax 3", ["graph-table"]),
-    ("series --beta 2 --order 3", ["series"]),
-    ("count --help", ["count"]),
-    ("--help", SUBCOMMANDS),
-    ("", SUBCOMMANDS),
-    ("bogus", SUBCOMMANDS),
-    ("--json count --n 5 --b 0 --coeffs 1", SUBCOMMANDS),
+    ("count --n 5 --b 0 --coeffs 1,1,3", ["congcount count"]),
+    ("check --n 6 --coeffs 2,4", ["congcount check"]),
+    ("oracle-compare --n 5 --b 0 --coeffs 1,1,3", ["congcount oracle-compare"]),
+    ("graph-table --kmax 3", ["congcount graph-table"]),
+    ("series --beta 2 --order 3", ["congcount series"]),
+    ("count --help", ["congcount count"]),
+    ("--help", FULL_TREE),
+    ("", FULL_TREE),
+    ("bogus", FULL_TREE),
+    ("--json count --n 5 --b 0 --coeffs 1", FULL_TREE),
 ])
 def test_a_call_builds_only_the_subparser_it_names(capsys, monkeypatch, argv, built):
-    # the full tree only for --help or a missing, unknown or option-like first argument
-    names = []
-    add_parser = argparse._SubParsersAction.add_parser
+    # one standalone parser for a named subcommand; the full tree only for --help or a
+    # missing, unknown or option-like first argument
+    progs = []
+    init = cli._Parser.__init__
 
-    def recording(self, name, **kwargs):
-        names.append(name)
-        return add_parser(self, name, **kwargs)
+    def recording(self, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, **kwargs)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording)
+    monkeypatch.setattr(cli._Parser, "__init__", recording)
     run_cli(capsys, argv.split())
-    assert names == built
+    assert progs == built
+
+
+# argvs on which a standalone parser could part from argparse's own subparser dispatch:
+# abbreviations, values starting with "-", repeats, "--", strays and a late -h
+ODD_ARGVS = [
+    "count --n 5 --b 0 --coeffs 1,1,3 --js",
+    "count --n 5 --b 0 --coeffs=-1,2",
+    "count --n 5 --b 0 --coeffs -1,2",
+    "count --n 5 --n 7 --b 0 --coeffs 1,2",
+    "count -- --n 5",
+    "count --n 5 --b 0 --coeffs 1 -- extra",
+    "count --n 5 --b 0 --coeffs 1 extra",
+    "count --n 5 --b 0 --coeffs 1 -h",
+    "count --n 5 --b 0 --coeffs 1 --method bogus",
+    "count --n 5 --b 0 --coeffs 1 --meth brute",
+    "count --n=5 --b=-2 --coeffs=1",
+    "count --n five --b 0 --coeffs 1",
+    "check --n 6 --coeffs 2,4 --no-t",
+    "graph-table --kmax 3 --connected --connected",
+    "graph-table --kmax",
+    "series --beta=-1/3 --order 2 --json",
+    "oracle-compare --help --n 5",
+]
+
+
+def _parse(capsys, parser, argv):
+    """What parser makes of argv: its namespace less subcommand, its usage error, or its exit."""
+    try:
+        args = vars(parser.parse_args(argv))
+    except ValueError as exc:
+        return "usage error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, capsys.readouterr().out
+    args.pop("subcommand", None)
+    return "parsed", args
+
+
+@pytest.mark.parametrize("argv", [
+    *(pytest.param(row[1], id=row[0])
+      for row in TRANSCRIPTS if row[1].split(" ")[0] in SUBCOMMANDS),
+    *ODD_ARGVS,
+])
+def test_standalone_parse_equals_the_full_tree(capsys, monkeypatch, argv):
+    # main parses argv[1:] with the named subcommand's parser alone; argparse's subparser
+    # dispatch, on the interpreter at hand, must make the same of the whole argv
+    monkeypatch.setenv("COLUMNS", "80")
+    name, *rest = argv.split()
+    standalone = _parse(capsys, cli._build_parser(name), rest)
+    assert standalone == _parse(capsys, cli._build_parser(), argv.split())
 
 
 def option_help(text):
