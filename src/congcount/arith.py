@@ -21,15 +21,11 @@ def gcd_many(values) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division (desk-scale n only)."""
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
+    """Deterministic primality: n is prime when factorize's trial division leaves it whole.
+
+    Desk-scale n only: a prime n costs about sqrt(n) / 2 trials.
+    """
+    return n >= 2 and factorize(n) == [(n, 1)]
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -51,21 +47,38 @@ def factor_partially(n: int, max_trials: int) -> tuple[list[tuple[int, int]], in
     soon as d * d exceeds the cofactor (it is then 1 or prime, and a prime is
     listed as a pair).  A cofactor above 1 has only prime factors larger than
     every candidate tried.
+
+    After 2, the odd candidates run as one range at a time, up to the lesser
+    of isqrt of the cofactor and the last candidate allowed, 2 * max_trials -
+    1; a new range starts only after a factor is found.
     """
+    if n < 4:  # 2 * 2 > n: no candidate is tried
+        return ([(n, 1)] if n > 1 else []), 1
+    if not max_trials:
+        return [], n
     pairs = []
-    d = 2
-    trials = 0
-    while d * d <= n:
-        if trials == max_trials:
-            return pairs, n
-        trials += 1
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            pairs.append((d, e))
-        d += 1 if d == 2 else 2
+    e = (n & -n).bit_length() - 1  # the exponent of 2 in n
+    if e:
+        n >>= e
+        pairs.append((2, e))
+    last = 2 * max_trials - 1
+    d = 3
+    while True:
+        for d in range(d, min(math.isqrt(n), last) + 1, 2):
+            if n % d == 0:
+                break
+        else:
+            break
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        pairs.append((d, e))
+        d += 2
+    # no candidate up to min(isqrt(n), last) is left; the next, last + 2, is
+    # past the budget and is needed only when its square is still <= n
+    if (last + 2) ** 2 <= n:
+        return pairs, n
     if n > 1:
         pairs.append((n, 1))
     return pairs, 1

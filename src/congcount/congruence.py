@@ -15,10 +15,14 @@ Four counters live here:
 check_condition decides the subset-sum gcd hypothesis and reports the first
 failing subset, smallest size first, then lexicographically.  A subset sum is
 a non-unit exactly when a prime p | n divides it, so for each prime a
-subset-sum DP over residues mod p (bitsets per subset size, polynomial in k
-and p) finds the first zero-sum subset.  One reach, the largest prime whose
+subset-sum DP over residues mod p finds the first zero-sum subset.  It
+decides first and explains only on failure: one p-bit mask of reachable
+residues, one rotation per coefficient, says whether any zero-sum subset
+exists, and only then is the table of masks per subset size (polynomial in
+k and p) built to pick the first one.  One reach, the largest prime whose
 DP table fits in 2**SUBSET_CAP bits, bounds both trial division and the DP:
-trial division tries no more candidates than it takes to find every prime
+trial division (arith.factor_partially, which tries its odd candidates as
+C-level ranges) tries no more candidates than it takes to find every prime
 up to reach (nor more than 2**k, the scan's own size), and each prime it
 found up to reach gets the DP.  A prime factor of n left without a DP,
 found past reach or left in an unfactored cofactor, sends the subsets to a
@@ -104,7 +108,9 @@ def check_condition(inst: CongruenceInstance) -> ConditionReport:
     A sum is a non-unit exactly when some prime p | n divides it, so each
     prime p | n that trial division finds with p <= reach = 2**SUBSET_CAP //
     (k+1)**2 gets a subset-sum DP over residues mod p (see
-    _first_zero_sum_subset), in a table of at most 2**SUBSET_CAP bits.
+    _first_zero_sum_subset): one p-bit mask decides whether p divides some
+    subset sum, and only then does a table of at most 2**SUBSET_CAP bits
+    pick the first such subset.
     SUBSET_CAP is read when called.  Trial division tries min(2**k, reach)
     candidate divisors: never more steps than the scan, and no more than it
     takes to find every prime up to reach.  A prime factor of n left without
@@ -164,16 +170,31 @@ def _subset_rank(k: int, subset: tuple[int, ...]) -> int:
 def _first_zero_sum_subset(coeffs, p: int) -> tuple[int, ...] | None:
     """First (by size, then lexicographically) nonempty proper subset summing to 0 mod p.
 
-    suf[i][s] is a p-bit mask of the residues that size-s subsets of coeffs[i:]
-    reach; adding coefficient a rotates a mask by a.  Sizes stop at
-    min(k-1, p): among any p coefficients some nonempty subset sums to 0 mod p
-    (pigeonhole on prefix sums), so no first failing subset is larger.  The
-    subset is built greedily, taking each index whose inclusion still lets the
-    later indices complete a zero sum of the chosen size.
+    Decided first, explained only when a witness exists.  A nonempty proper
+    subset sums to 0 exactly when some nonempty subset of coeffs[:-1] sums to
+    0 or to the full sum (its complement then holds the last index and sums to
+    0), so one p-bit mask of the residues the nonempty subsets of coeffs[:-1]
+    reach, one rotation per coefficient, decides it.  With p < k the mask is
+    skipped: among any p coefficients some nonempty subset sums to 0 mod p
+    (pigeonhole on prefix sums).
+
+    For the witness, suf[i][s] is a p-bit mask of the residues that size-s
+    subsets of coeffs[i:] reach; adding coefficient a rotates a mask by a.
+    Sizes stop at min(k-1, p), by the same pigeonhole, so no first failing
+    subset is larger.  The subset is built greedily, taking each index whose
+    inclusion still lets the later indices complete a zero sum of the chosen
+    size.
     """
     k = len(coeffs)
-    top = min(k - 1, p)
     mask = (1 << p) - 1
+    if p >= k:
+        sums = 0  # bit r: some nonempty subset of the coefficients so far sums to r
+        for a in coeffs[:-1]:
+            shifted = (sums | 1) << (a % p)  # each sum so far, and the empty sum, plus a
+            sums |= (shifted | shifted >> p) & mask
+        if not sums & (1 | 1 << (sum(coeffs) % p)):
+            return None
+    top = min(k - 1, p)
     suf = [None] * (k + 1)
     suf[k] = row = [1] + [0] * top
     for i in range(k - 1, -1, -1):
@@ -182,9 +203,7 @@ def _first_zero_sum_subset(coeffs, p: int) -> tuple[int, ...] | None:
             row[s] | ((row[s - 1] << a | row[s - 1] >> (p - a)) & mask) for s in range(1, top + 1)
         ]
         suf[i] = row
-    size = next((s for s in range(1, top + 1) if suf[0][s] & 1), None)
-    if size is None:
-        return None
+    size = next(s for s in range(1, top + 1) if suf[0][s] & 1)  # a witness exists
     subset = []
     residue = 0  # what the indices still to be chosen must sum to, mod p
     for i in range(k):

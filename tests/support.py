@@ -220,6 +220,20 @@ def reference_condition(coeffs, b, n):
     return True, None, ell, b % ell == 0
 
 
+def reference_zero_sum_subset(coeffs, p):
+    """The first nonempty proper subset summing to 0 mod p, by walking every one.
+
+    Subsets go by size, then lexicographically (1-based indices); None when
+    no nonempty proper subset sums to 0 mod p.
+    """
+    k = len(coeffs)
+    for size in range(1, k):
+        for subset in combinations(range(1, k + 1), size):
+            if sum(coeffs[i - 1] for i in subset) % p == 0:
+                return subset
+    return None
+
+
 def index_partitions(k):
     """Yield all set partitions of {1..k} as tuples of blocks.
 
@@ -267,6 +281,31 @@ def trial_division_prime(n):
     if n < 2:
         return False
     return all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def reference_factor_partially(n, max_trials):
+    """arith.factor_partially as one loop over the candidates 2, 3, 5, 7, ...
+
+    Each candidate counts one trial and moves to the next by hand; the same
+    pairs and cofactor are what the library must return.
+    """
+    pairs = []
+    d = 2
+    trials = 0
+    while d * d <= n:
+        if trials == max_trials:
+            return pairs, n
+        trials += 1
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            pairs.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        pairs.append((n, 1))
+    return pairs, 1
 
 
 # --- reference truncated-series arithmetic ---------------------------------

@@ -1,10 +1,11 @@
+import random
 from itertools import product
 from math import factorial, gcd, prod
 
 import pytest
 
 from congcount import arith
-from support import trial_division_prime
+from support import reference_factor_partially, trial_division_prime
 
 
 def test_gcd_many_examples():
@@ -56,6 +57,29 @@ def test_factor_partially_keeps_what_it_found():
         pairs, rest = arith.factor_partially(n, 5)
         assert prod(p**e for p, e in pairs) * rest == n
         assert (pairs, rest) == (arith.factorize(n), 1) or rest > 1
+
+
+def test_factor_partially_matches_the_candidate_loop():
+    # the range loop against a plain loop that tries the candidates one at a time
+    for n in range(1, 3000):
+        for max_trials in range(40):
+            assert arith.factor_partially(n, max_trials) == reference_factor_partially(
+                n, max_trials
+            ), (n, max_trials)
+    rng = random.Random(1012)
+    for _ in range(20000):
+        n = rng.randint(1, 10 ** rng.randint(1, 12))
+        max_trials = rng.randint(0, 5000)
+        assert arith.factor_partially(n, max_trials) == reference_factor_partially(
+            n, max_trials
+        ), (n, max_trials)
+    # the budget runs out exactly at a candidate d with d * d <= n, or just
+    # before the first candidate is needed
+    assert arith.factor_partially(9, 1) == ([], 9)
+    assert arith.factor_partially(25, 2) == ([], 25)
+    assert arith.factor_partially(25, 3) == ([(5, 2)], 1)
+    assert arith.factor_partially(4, 0) == ([], 4)
+    assert arith.factor_partially(3, 0) == ([(3, 1)], 1)
 
 
 def test_factorize_rejects_nonpositive():
@@ -126,6 +150,6 @@ def test_binomial_rejects_negative():
         arith.binomial(2, -1)
 
 
-def test_is_prime_matches_trial_division_up_to_200():
-    for n in range(-5, 201):
+def test_is_prime_matches_trial_division_below_20000():
+    for n in range(-5, 20000):
         assert arith.is_prime(n) == trial_division_prime(n)

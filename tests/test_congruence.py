@@ -24,6 +24,7 @@ from support import (
     brute_distinct_histogram,
     record_calls,
     reference_condition,
+    reference_zero_sum_subset,
     trial_division_prime,
     unit_histogram,
 )
@@ -279,6 +280,38 @@ def test_subset_rank_is_the_scan_position():
         subsets = (combinations(range(1, k + 1), size) for size in range(1, k + 1))
         for position, subset in enumerate(s for group in subsets for s in group):
             assert congruence._subset_rank(k, subset) == position, (k, subset)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_first_zero_sum_subset_matches_the_scan_exhaustively(p):
+    # every residue vector with p**k <= 2 * 10**5, k <= 7: p below, at and
+    # above k covers both sides of the pigeonhole skip, and vectors whose
+    # only witnesses hold the last index reach the complement bit
+    for k in range(1, 8):
+        if p**k > 2 * 10**5:
+            break
+        for coeffs in product(range(p), repeat=k):
+            found = congruence._first_zero_sum_subset(coeffs, p)
+            assert found == reference_zero_sum_subset(coeffs, p), (coeffs, p)
+
+
+def test_first_zero_sum_subset_matches_the_scan_wide():
+    rng = random.Random(28)
+    for k in range(12, 21):
+        for _ in range(20):
+            p = _random_prime(rng, 1000, 5000)
+            # uniform residues: a witness of size 2 to 9, or at k = 12 and 13 sometimes none
+            cases = [tuple(rng.randrange(p) for _ in range(k))]
+            # coefficients in [1, 3], all subset sums below p: the only
+            # witnesses hold the last index, which completes a small block to 0
+            head = [rng.randint(1, 3) for _ in range(k - 1)]
+            block = rng.sample(head, rng.randint(1, 4))
+            cases.append(tuple(head + [-sum(block) % p]))
+            for coeffs in cases:
+                found = congruence._first_zero_sum_subset(coeffs, p)
+                assert found == reference_zero_sum_subset(coeffs, p), (coeffs, p)
+            # and no witness at all: every nonempty subset sums to 1..3k < p
+            assert congruence._first_zero_sum_subset(head + [rng.randint(1, 3)], p) is None
 
 
 @pytest.mark.parametrize("k, trials", [(3, 8), (16, 58052), (17, 51781), (25, 24818)])
