@@ -18,11 +18,13 @@ Three independent routes, all exact:
                           edge subset inducing the same component partition
                           contributes the same merged count, and the signs
                           collapse to the weight prod (-1)**(|B|-1) (|B|-1)!
-                          over blocks B.  Expanding the merged count over the
-                          divisors d of gcd(sum of coefficients, n) makes
-                          each divisor's partition sum factor block by block,
-                          so a subset DP (O(3**k) per divisor) evaluates it
-                          without listing the Bell(k) partitions.
+                          over blocks B.  A merged count sees its partition
+                          only through l = gcd(block sums, n), which lies in
+                          the gcd-closure C of the subset sums' gcds with
+                          gcd(sum of coefficients, n).  Expanding it over C
+                          makes each d's partition sum factor block by block,
+                          so a subset DP (O(3**k) per d) evaluates it without
+                          listing the Bell(k) partitions or factoring n.
 
 None of these require anything of the coefficients, so together they cover
 instances the closed form refuses.
@@ -32,7 +34,7 @@ import functools
 import itertools
 import math
 
-from .arith import factor_partially, falling_factorial
+from .arith import falling_factorial
 from .congruence import CongruenceInstance, lehmer_count
 from .errors import ResourceLimitError
 
@@ -137,21 +139,21 @@ def iep_partitions(inst: CongruenceInstance, stats: dict | None = None) -> int:
     contributes the same merged Lehmer count l * n**(|pi|-1) * [l | b], with
     l = gcd of the block sums and n, and the signed number of such subsets is
     prod over blocks B of (-1)**(|B|-1) (|B|-1)!.  The partitions are not
-    listed: l * [l | b] = sum over d | l of g(d), where
-    g(d) = sum over e | d of mu(d/e) * e * [e | b], so
+    listed: every l lies in C, the gcd-closure of the gcd(s, L) over the 2**k
+    subset sums s, L = gcd(a1 + ... + ak, n) (the empty sum gives L).  With h
+    solved in increasing order from sum over d in C, d | m of h(d) = m * [m | b],
 
-        count = n**-1 * sum over d | n of g(d) * Z_d,
-        Z_d = sum over pi of prod over B of (-1)**(|B|-1) (|B|-1)! * n * [d | sum_B a].
+        count = n**-1 * sum over d in C of h(d) * Z_d,
+        Z_d = sum over pi of prod over B of (-1)**(|B|-1) (|B|-1)! * n * [d | sum_B a],
 
-    Z_d = 0 unless d divides L = gcd(a1 + ... + ak, n), since the block sums
-    add up to the full sum.  Z_d = n(n-1)...(n-k+1) when d divides every
-    coefficient, and those d contribute sum over d | G of g(d) = G * [G | b]
-    together, G = gcd(a1, ..., ak, n).  Every other d | L with g(d) != 0
-    runs a subset DP (_partition_sum) of at most (3**k + 1) // 2 steps.  k > n short-circuits
-    to 0.  Refuses (ResourceLimitError) when L does not factor within
-    PARTITION_STEP_BUDGET trial divisions or the planned DP steps exceed that
-    budget.  When a dict is passed as stats, the DP runs are recorded under
-    "divisors" and the submask pairs they visit under "dp_steps".
+    so no prime of n is needed.  C's least element is G = gcd(a1, ..., ak, n),
+    with Z_G = n(n-1)...(n-k+1); every other d in C with h(d) != 0 runs a
+    subset DP (_partition_sum) of at most (3**k + 1) // 2 steps.  k > n, or
+    G not dividing b, short-circuits to 0.  Refuses (ResourceLimitError),
+    before any DP runs, when one DP, the planned DPs, or the gcds that build C
+    with the divisibility tests that solve h exceed PARTITION_STEP_BUDGET.  When a dict is passed as stats, the DP runs
+    are recorded under "divisors" and the submask pairs they visit under
+    "dp_steps".
     """
     stats = {} if stats is None else stats
     k, n, b = inst.k, inst.n, inst.b
@@ -160,25 +162,41 @@ def iep_partitions(inst: CongruenceInstance, stats: dict | None = None) -> int:
         return 0
     ell = math.gcd(sum(inst.coeffs), n)
     common = math.gcd(*inst.coeffs, n)
-    total = n * falling_factorial(n, k) * common * (b % common == 0)
-    if ell == common:
-        return total // n
-    pairs, rest = factor_partially(ell, PARTITION_STEP_BUDGET)
-    if rest > 1:
+    if ell == common or b % common:
+        return falling_factorial(n, k) * common * (b % common == 0)
+    # from here on h(m) != 0 for an m in C minimal above G, so a DP is needed
+    per_dp = (3 ** k + 1) // 2
+    if per_dp > PARTITION_STEP_BUDGET:
         raise ResourceLimitError(
-            f"gcd(sum of coefficients, n) = {ell} does not factor within "
-            f"{PARTITION_STEP_BUDGET} trial divisions"
+            f"one partition DP at k = {k} needs {per_dp} steps; "
+            f"budget is {PARTITION_STEP_BUDGET}"
         )
-    divisors = [(d, g) for d, g in _moebius_weights(pairs, b) if common % d]
-    planned = len(divisors) * (3 ** k + 1) // 2
+    sums = [0]
+    for a in inst.coeffs:
+        sums += [(s + a) % ell for s in sums]
+    spent, closure = len(sums), set()
+    for x in {math.gcd(s, ell) for s in set(sums)}:
+        spent += len(closure)
+        closure |= {x, *(math.gcd(x, y) for y in closure)}
+        if spent + len(closure) ** 2 > PARTITION_STEP_BUDGET:  # and the tests d | m below
+            raise ResourceLimitError(
+                f"the gcd-closure of the subset sums mod {ell} needs more than "
+                f"{PARTITION_STEP_BUDGET} gcds and divisibility tests"
+            )
+    weights = {}
+    for m in sorted(closure):
+        weights[m] = m * (b % m == 0) - sum([h for d, h in weights.items() if m % d == 0])
+    divisors = [(d, h) for d, h in weights.items() if h and d != common]
+    planned = len(divisors) * per_dp
     if planned > PARTITION_STEP_BUDGET:
         raise ResourceLimitError(
             f"{len(divisors)} divisors of {ell} need {planned} partition DP steps; "
             f"budget is {PARTITION_STEP_BUDGET}"
         )
-    for d, g in divisors:
-        z, steps = _partition_sum(inst.coeffs, n, d)
-        total += g * z
+    total = n * falling_factorial(n, k) * common
+    for d, h in divisors:
+        z, steps = _partition_sum(inst.coeffs, n, d, sums)
+        total += h * z
         stats["dp_steps"] += steps
     stats["divisors"] = len(divisors)
     if total % n:
@@ -186,52 +204,27 @@ def iep_partitions(inst: CongruenceInstance, stats: dict | None = None) -> int:
     return total // n
 
 
-def _moebius_weights(pairs, b: int) -> list[tuple[int, int]]:
-    """The divisors d of prod p**e over pairs with g(d) != 0, as (d, g(d)).
-
-    e * [e | b] is multiplicative in e, so g is too, and at a prime power
-    g(p**j) = p**j [p**j | b] - p**(j-1) [p**(j-1) | b]: that is
-    phi(p**j) when p**j | b, -p**(j-1) when only p**(j-1) | b, and 0 (for j
-    and every higher power) when p**(j-1) does not divide b.
-    """
-    weighted = [(1, 1)]
-    for p, e in pairs:
-        powers = [(1, 1)]
-        for j in range(1, e + 1):
-            q = p ** j
-            g = q * (b % q == 0) - q // p * (b % (q // p) == 0)
-            if not g:
-                break
-            powers.append((q, g))
-        weighted = [(d * q, w * g) for d, w in weighted for q, g in powers]
-    return weighted
-
-
-def _partition_sum(coeffs, n: int, d: int) -> tuple[int, int]:
+def _partition_sum(coeffs, n: int, d: int, sums) -> tuple[int, int]:
     """(Z_d, steps): the signed partition sum with every block sum divisible by d.
 
-    z[S] = sum over blocks B with low(S) in B, B subset of S, of
+    sums[S] is sum_S a modulo a multiple of d, S a bitmask of coefficient
+    indices.  z[S] = sum over blocks B with low(S) in B, B subset of S, of
     wt(B) * z[S - B], where wt(B) = (-1)**(|B|-1) (|B|-1)! * n when d divides
-    sum_B a and 0 otherwise.  Only states S with d | sum_S a are visited: z
-    is 0 on the others, and the rest R = S - B of such a state has
-    wt(B) != 0 exactly when d | sum_R a.  A visited S costs 2**(|S|-1) steps,
-    one per R, and steps counts them.
+    sum_B a and 0 otherwise.  Only states S with wt(S) != 0, that is
+    d | sum_S a, are visited: z is 0 on the others, and the rest R = S - B
+    of such a state has wt(B) != 0 exactly when d | sum_R a.  A visited S
+    costs 2**(|S|-1) steps, one per R, and steps counts them.
     """
     k = len(coeffs)
     full = 1 << k
-    residue = [0]
-    for a in coeffs:
-        residue += [(r + a) % d for r in residue]
     size_weight = [0] * (k + 1)
     for s in range(1, k + 1):
         size_weight[s] = (-1) ** (s - 1) * math.factorial(s - 1) * n
-    wt = [0 if r else size_weight[m.bit_count()] for m, r in enumerate(residue)]
+    wt = [0 if s % d else size_weight[m.bit_count()] for m, s in enumerate(sums)]
     z = [0] * full
     z[0] = 1
     steps = 0
-    for S in range(1, full):
-        if residue[S]:
-            continue
+    for S in itertools.compress(range(full), wt):  # wt[0] = 0: the empty set is z[0]
         rest = S & (S - 1)  # S without its lowest index
         steps += 1 << rest.bit_count()
         acc = wt[S]

@@ -6,9 +6,10 @@ compares two genuinely different routes.
 """
 
 import inspect
+from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, perm
 
 
 def record_calls(monkeypatch, name, *modules):
@@ -274,6 +275,70 @@ def reference_iep_partitions(coeffs, n):
             ell = gcd(ell, sum(coeffs[i - 1] for i in block))
         by_ell[ell] = by_ell.get(ell, 0) + weight * ell * n ** (len(blocks) - 1)
     return [sum(total for ell, total in by_ell.items() if b % ell == 0) for b in range(n)]
+
+
+def reference_moebius_expansion(coeffs, b, n):
+    """The distinct-coordinate count expanded over every divisor of L = gcd(sum, n).
+
+    count = n**-1 * sum over d | L of g(d) * Z_d, with the Moebius weights
+    g(d) = sum over e | d of mu(d/e) * e * [e | b] built from the prime powers
+    of L (found by trial division): g(p**j) = p**j [p**j | b] - p**(j-1)
+    [p**(j-1) | b].  Z_d = n(n-1)...(n-k+1) when d divides every coefficient;
+    otherwise it sums prod over blocks B of (-1)**(|B|-1) (|B|-1)! * n over
+    the partitions whose block sums d divides, by a memoised recursion on the
+    block holding the highest index.  Returns (count, the number of d | L with
+    g(d) != 0 that do not divide every coefficient).  Needs k <= n.
+    """
+    k = len(coeffs)
+    ell = gcd(sum(coeffs), n)
+    weighted = [(1, 1)]
+    p, rest = 2, ell
+    while rest > 1:
+        if p * p > rest:
+            p = rest
+        powers, q = [(1, 1)], 1
+        while rest % p == 0:
+            rest //= p
+            q *= p
+            powers.append((q, q * (b % q == 0) - q // p * (b % (q // p) == 0)))
+        weighted = [(d * q, w * g) for d, w in weighted for q, g in powers if g]
+        p += 1
+    total = dps = 0
+    for d, g in weighted:
+        if all(a % d == 0 for a in coeffs):
+            total += g * perm(n, k)
+        else:
+            total += g * _blocks_divisible_sum(coeffs, n, d)
+            dps += 1
+    return total // n, dps
+
+
+def _blocks_divisible_sum(coeffs, n, d):
+    """sum over partitions with d | every block sum of prod (-1)**(|B|-1) (|B|-1)! * n.
+
+    Top down: the block holding the highest index of a mask is chosen first,
+    and what is left is memoised by its mask.
+    """
+    block_sum = {0: 0}
+    for i, a in enumerate(coeffs):
+        block_sum.update({m | 1 << i: s + a for m, s in list(block_sum.items())})
+
+    @lru_cache(maxsize=None)
+    def z(mask):
+        if not mask:
+            return 1
+        top = 1 << mask.bit_length() - 1
+        others, out, sub = mask ^ top, 0, mask ^ top
+        while True:
+            block = sub | top
+            if block_sum[block] % d == 0:
+                size = block.bit_count()
+                out += (-1) ** (size - 1) * factorial(size - 1) * n * z(mask ^ block)
+            if not sub:
+                return out
+            sub = (sub - 1) & others
+
+    return z((1 << len(coeffs)) - 1)
 
 
 def trial_division_prime(n):

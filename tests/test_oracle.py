@@ -6,8 +6,8 @@ from math import factorial, gcd, perm
 import pytest
 
 from congcount import congruence, oracle
-from congcount.congruence import CongruenceInstance, lehmer_count
-from congcount.errors import ResourceLimitError
+from congcount.congruence import CongruenceInstance, distinct_count_formula, lehmer_count
+from congcount.errors import HypothesisError, ResourceLimitError
 from congcount.oracle import (
     all_pairs,
     brute_force_distinct,
@@ -23,6 +23,7 @@ from support import (
     prefix_lookup_count,
     record_calls,
     reference_iep_partitions,
+    reference_moebius_expansion,
 )
 
 
@@ -150,16 +151,23 @@ def test_iep_partitions_examples():
     assert iep_partitions(CongruenceInstance((1, 1, 3), 0, 5)) == 20
     assert iep_partitions(CongruenceInstance((2, 2), 0, 4)) == 4
     assert iep_partitions(CongruenceInstance((1, 1), 0, 2)) == 0
-    # k > n is 0 before any factoring or budget: L = 6 would plan three
-    # DPs of (3**20 + 1) // 2 steps
+    # mod 30 the subset sums of (2, 3, 25) have gcds {30, 2, 3, 5}: the
+    # closure adds G = 1, without which the expansion would give 572
+    stats = {}
+    assert iep_partitions(CongruenceInstance((2, 3, 25), 0, 30), stats=stats) == 660
+    assert reference_iep_partitions((2, 3, 25), 30)[0] == 660
+    assert stats["divisors"] == 4
+    # k > n is 0 before any budget: with L = 6 and G = 1, one DP of
+    # (3**20 + 1) // 2 steps would already be refused
     stats = {}
     assert iep_partitions(CongruenceInstance((1,) * 19 + (5,), 0, 6), stats=stats) == 0
     assert stats == {"divisors": 0, "dp_steps": 0}
 
 
 def test_iep_partitions_cap():
-    # the planned steps are (3**k + 1) // 2 per divisor d of L = gcd(sum, n)
-    # that does not divide every coefficient; b = 0 keeps every g(d) nonzero
+    # the planned steps are (3**k + 1) // 2 per d in the gcd-closure C of the
+    # subset sums mod L = gcd(sum, n) with h(d) != 0, other than its least
+    # element G; here C is every divisor of L and b = 0 keeps every h(d) nonzero
     per_divisor = (3**14 + 1) // 2
     assert 14 * per_divisor <= oracle.PARTITION_STEP_BUDGET < 15 * per_divisor
     head = tuple(range(1, 14))  # sum 91, and the 1 makes every d > 1 run a DP
@@ -173,14 +181,67 @@ def test_iep_partitions_cap():
         iep_partitions(CongruenceInstance(head + (29,), 0, 120))
 
 
-def test_iep_partitions_refuses_unfactored_gcd(monkeypatch):
-    # L = 1009 * 1013 needs about 500 trial divisions
+def test_iep_partitions_needs_no_factoring(monkeypatch):
+    # L = 1009 * 1013 would need about 500 trial divisions; the closure of the
+    # subset sums' gcds, {1, L}, needs a handful of gcds
     monkeypatch.setattr(oracle, "PARTITION_STEP_BUDGET", 100)
     n = 1009 * 1013
-    with pytest.raises(ResourceLimitError, match="factor"):
-        iep_partitions(CongruenceInstance((1, n - 1), 0, n))
-    # with L = 1 nothing needs factoring
+    assert iep_partitions(CongruenceInstance((1, n - 1), 0, n)) == 0
     assert iep_partitions(CongruenceInstance((1, 1), 0, n)) == n - 1
+
+
+def test_iep_partitions_answers_a_semiprime_gcd():
+    # L = n = p * q with both primes above 10**9: trial division would not
+    # split it within the budget, and one DP answers
+    p, q = 1000000007, 1000000009
+    n = p * q
+    for b in (0, 1, p, n - 1):
+        inst = CongruenceInstance((1, 2, 3, n - 6), b, n)
+        stats = {}
+        assert iep_partitions(inst, stats=stats) == distinct_count_formula(inst), b
+        assert stats["divisors"] == 1
+    # {1, 2} sums to p, so the formula refuses; C = {1, p, n} then
+    planted = (1, p - 1, 3, n - p - 3)
+    for b in (0, 1, p, q, n - 1):
+        inst = CongruenceInstance(planted, b, n)
+        with pytest.raises(HypothesisError):
+            distinct_count_formula(inst)
+        assert iep_partitions(inst) == iep_edge_subsets(inst), b
+
+
+def test_iep_partitions_refuses_one_dp_over_the_budget(monkeypatch):
+    # k = 17 once L != G: one DP is over the budget, refused before the
+    # 2**17 subset sums are built
+    calls = record_calls(monkeypatch, "_partition_sum", oracle)
+    n = 1000000007 * 1000000009
+    one_dp = f"one partition DP at k = 17 needs {(3**17 + 1) // 2} steps"
+    with pytest.raises(ResourceLimitError, match=one_dp):
+        iep_partitions(CongruenceInstance((1,) * 16 + (n - 16,), 0, n))
+    assert calls == []
+    # G = 1000000007 not dividing b answers 0 with no DP at any k
+    stats = {}
+    coeffs = (1000000007,) * 16 + (n - 16 * 1000000007,)
+    assert iep_partitions(CongruenceInstance(coeffs, 1, n), stats=stats) == 0
+    assert stats == {"divisors": 0, "dp_steps": 0}
+
+
+def test_iep_partitions_refuses_a_closure_over_the_budget(monkeypatch):
+    # n = 2**6 3**4 5**2 7**2 11 13 ... 43 and k = 13 seeded coefficients
+    # summing to 0 mod n: C has 990 elements, built by 3.4 * 10**5 gcds, and
+    # solving h on it takes up to 990**2 divisibility tests more
+    n = 2**6 * 3**4 * 5**2 * 7**2 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43
+    rng = random.Random("closure-budget")
+    head = [rng.randrange(n) for _ in range(12)]
+    inst = CongruenceInstance(tuple(head + [-sum(head) % n]), 0, n)
+    calls = record_calls(monkeypatch, "_partition_sum", oracle)
+    # at the full budget the plan of DPs is refused instead
+    with pytest.raises(ResourceLimitError, match="partition DP steps"):
+        iep_partitions(inst)
+    # with room for one DP of (3**13 + 1) // 2 steps, but not for the closure
+    monkeypatch.setattr(oracle, "PARTITION_STEP_BUDGET", 10**6)
+    with pytest.raises(ResourceLimitError, match="gcd-closure .* 1000000 gcds"):
+        iep_partitions(inst)
+    assert calls == []
 
 
 def test_iep_partitions_matches_reference_grid(exhaustive_grid):
@@ -189,7 +250,7 @@ def test_iep_partitions_matches_reference_grid(exhaustive_grid):
 
 
 def _random_vectors(rng, k):
-    """Seeded (coeffs, n) pairs: all-zero, L = n, L = 1, and n = 720."""
+    """Seeded (coeffs, n) pairs: all-zero, L = n, L = 1, n = 720, squarefree n and unclosed gcds."""
     for _ in range(2):
         n = rng.choice((k, 12, 30, 64, 72, 180, 210, rng.randint(k, 60)))
         yield (0,) * k, n
@@ -202,6 +263,15 @@ def _random_vectors(rng, k):
         yield coeffs, n
         # multiples of 6 mod 720 share many divisors with it
         yield tuple(rng.randrange(720) * rng.choice((1, 6)) for _ in range(k)), 720
+        n = rng.choice((2310, 30030))
+        yield tuple(rng.randrange(n) * rng.choice((1, 2, 3, 5, 7)) for _ in range(k)), n
+        # every subset sum of (2, 3, 25) shares a prime with 30 and the rest are
+        # multiples of 30, so no gcd(subset sum, L) is 1 while G is: C0 is
+        # not closed under gcd
+        u = rng.choice([x for x in range(n) if gcd(x, n) == 1])
+        coeffs = [2, 3, 25] + [30 * rng.randrange(n) for _ in range(k - 3)]
+        rng.shuffle(coeffs)
+        yield tuple(u * a % n for a in coeffs), n
 
 
 @pytest.mark.parametrize("k", [5, 6, 7, 8, 9])
@@ -215,6 +285,22 @@ def test_iep_partitions_matches_reference_random(k):
         assert stats["dp_steps"] <= stats["divisors"] * (3**k + 1) // 2
         if gcd(sum(coeffs), n) == 1:
             assert stats == {"divisors": 0, "dp_steps": 0}
+
+
+@pytest.mark.parametrize("k", [10, 11, 12])
+def test_iep_partitions_matches_moebius_expansion(k):
+    # past the Bell-number reference: the factor-and-Moebius expansion over
+    # every divisor of L, which never needs fewer DPs than the closure
+    rng = random.Random(f"moebius:{k}")
+    for n in (720, 5040, 30030, 9699690):
+        head = [rng.randrange(n) * rng.choice((1, 2, 6)) for _ in range(k - 1)]
+        for last in (-sum(head) % n, rng.randrange(n)):
+            coeffs = (*head, last)
+            b = rng.choice((0, rng.randrange(n), n // 2))
+            count, dps = reference_moebius_expansion(coeffs, b, n)
+            stats = {}
+            assert iep_partitions(CongruenceInstance(coeffs, b, n), stats=stats) == count
+            assert stats["divisors"] <= dps
 
 
 def test_iep_partitions_makes_no_lehmer_calls(monkeypatch):

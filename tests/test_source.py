@@ -125,6 +125,17 @@ def test_brute_force_shares_no_code_with_the_other_counters():
     assert named & others == set()
 
 
+def test_oracle_module_factors_nothing():
+    """iep_partitions expands over the gcd-closure of the subset sums, so the oracles need no prime."""
+    tree = ast.parse(inspect.getsource(congcount.oracle))
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    named |= {alias.name for node in imports for alias in node.names}
+    assert "PARTITION_STEP_BUDGET" in named  # the walk saw the bodies
+    assert named & {"factor_partially", "factorize", "is_prime"} == set()
+
+
 def test_work_counts_are_recorded_one_way():
     """Only the five public counters take stats, each makes it a dict once, and helpers return counts."""
     counters = {}
