@@ -19,15 +19,16 @@ subset-sum DP over residues mod p finds the first zero-sum subset.  It
 decides first and explains only on failure: one p-bit mask of reachable
 residues, one rotation per coefficient, says whether any zero-sum subset
 exists, and only then is the table of masks per subset size (polynomial in
-k and p) built to pick the first one.  One reach, the largest prime whose
-DP table fits in 2**SUBSET_CAP bits, bounds both trial division and the DP:
-trial division (arith.factor_partially, which tries its odd candidates as
-C-level ranges) tries no more candidates than it takes to find every prime
-up to reach (nor more than 2**k, the scan's own size), and each prime it
-found up to reach gets the DP.  A prime factor of n left without a DP,
-found past reach or left in an unfactored cofactor, sends the subsets to a
-scan too, only those ordered before the DP primes' first witness if they
-found one, and at most 2**SUBSET_CAP of them.
+k and p) built to pick the first one.  Each prime whose DP table fits in
+2**SUBSET_CAP bits gets the DP: a prime p >= k when p <= reach =
+2**SUBSET_CAP // (k+1)**2, and a prime p < k, whose table holds only
+(k+1)(p+1) masks of p bits, when those bits fit.  Trial division
+(arith.factor_partially, which tries its odd candidates as C-level ranges)
+tries no more candidates than it takes to find all of them (nor more than
+2**k, the scan's own size).  A prime factor of n left without a DP, found
+past reach or left in an unfactored cofactor, sends the subsets to a scan
+too, only those ordered before the DP primes' first witness if they found
+one, and at most 2**SUBSET_CAP of them.
 distinct_count_formula refuses to answer when the condition fails, since no
 closed form is claimed in that regime (the oracle module still counts).
 """
@@ -107,17 +108,17 @@ def check_condition(inst: CongruenceInstance) -> ConditionReport:
 
     A sum is a non-unit exactly when some prime p | n divides it, so each
     prime p | n that trial division finds with p <= reach = 2**SUBSET_CAP //
-    (k+1)**2 gets a subset-sum DP over residues mod p (see
-    _first_zero_sum_subset): one p-bit mask decides whether p divides some
-    subset sum, and only then does a table of at most 2**SUBSET_CAP bits
-    pick the first such subset.
-    SUBSET_CAP is read when called.  Trial division tries min(2**k, reach)
-    candidate divisors: never more steps than the scan, and no more than it
-    takes to find every prime up to reach.  A prime factor of n left without
-    a DP, found past reach or in an unfactored cofactor, is decided by the
-    subset scan: only the subsets before the first DP witness, if there is
-    one, else all 2**k - 2; a scan of more than 2**SUBSET_CAP subsets raises
-    ResourceLimitError.
+    (k+1)**2, or with p < k and (k+1) * (p+1) * p <= 2**SUBSET_CAP, gets a
+    subset-sum DP over residues mod p (see _first_zero_sum_subset): one
+    p-bit mask decides whether p divides some subset sum, and only then does
+    a table of at most 2**SUBSET_CAP bits pick the first such subset.
+    SUBSET_CAP is read when called.  Trial division tries
+    min(2**k, max(reach, k)) candidate divisors: never more steps than the
+    scan, and no more than it takes to find every prime up to reach and
+    below k.  A prime factor of n left without a DP, found past reach or in
+    an unfactored cofactor, is decided by the subset scan: only the subsets
+    before the first DP witness, if there is one, else all 2**k - 2; a scan
+    of more than 2**SUBSET_CAP subsets raises ResourceLimitError.
 
     The reported failing subset is the first by size, then lexicographically,
     on either route.  For k = 1 the condition is vacuously true.
@@ -126,13 +127,16 @@ def check_condition(inst: CongruenceInstance) -> ConditionReport:
     ell = math.gcd(sum(inst.coeffs), n)
     divides_b = inst.b % ell == 0
     reach = (1 << SUBSET_CAP) // (k + 1) ** 2
-    # reach <= 2**SUBSET_CAP, so 1 << min(k, SUBSET_CAP) gives the same minimum as 2**k
-    pairs, rest = factor_partially(n, min(1 << min(k, SUBSET_CAP), reach))
-    witnesses = [_first_zero_sum_subset(inst.coeffs, p) for p, _ in pairs if p <= reach]
+    # reach <= 2**SUBSET_CAP and k < 2**k: this is min(2**k, max(reach, k))
+    pairs, rest = factor_partially(n, max(min(1 << min(k, SUBSET_CAP), reach), k))
+    primes = [  # a prime p < k needs only (k+1) * (p+1) masks of p bits
+        p for p, _ in pairs if p <= reach or p < k and (k + 1) * (p + 1) * p <= 1 << SUBSET_CAP
+    ]
+    witnesses = [_first_zero_sum_subset(inst.coeffs, p) for p in primes]
     failing = min(
         (w for w in witnesses if w is not None), key=lambda w: (len(w), w), default=None
     )
-    if rest > 1 or any(p > reach for p, _ in pairs):
+    if rest > 1 or len(primes) < len(pairs):
         failing = _scan_failing_subset(inst.coeffs, n, failing)
     return ConditionReport(failing is None, failing, ell, divides_b)
 
@@ -174,26 +178,24 @@ def _first_zero_sum_subset(coeffs, p: int) -> tuple[int, ...] | None:
     subset sums to 0 exactly when some nonempty subset of coeffs[:-1] sums to
     0 or to the full sum (its complement then holds the last index and sums to
     0), so one p-bit mask of the residues the nonempty subsets of coeffs[:-1]
-    reach, one rotation per coefficient, decides it.  With p < k the mask is
-    skipped: among any p coefficients some nonempty subset sums to 0 mod p
-    (pigeonhole on prefix sums).
+    reach, one rotation per coefficient, decides it.
 
     For the witness, suf[i][s] is a p-bit mask of the residues that size-s
     subsets of coeffs[i:] reach; adding coefficient a rotates a mask by a.
-    Sizes stop at min(k-1, p), by the same pigeonhole, so no first failing
-    subset is larger.  The subset is built greedily, taking each index whose
-    inclusion still lets the later indices complete a zero sum of the chosen
-    size.
+    Sizes stop at top = min(k-1, p): among any p coefficients some nonempty
+    subset sums to 0 mod p (pigeonhole on prefix sums), so no first failing
+    subset is larger, and with p < k the mask always finds one.  The subset
+    is built greedily, taking each index whose inclusion still lets the
+    later indices complete a zero sum of the chosen size.
     """
     k = len(coeffs)
     mask = (1 << p) - 1
-    if p >= k:
-        sums = 0  # bit r: some nonempty subset of the coefficients so far sums to r
-        for a in coeffs[:-1]:
-            shifted = (sums | 1) << (a % p)  # each sum so far, and the empty sum, plus a
-            sums |= (shifted | shifted >> p) & mask
-        if not sums & (1 | 1 << (sum(coeffs) % p)):
-            return None
+    sums = 0  # bit r: some nonempty subset of the coefficients so far sums to r
+    for a in coeffs[:-1]:
+        shifted = (sums | 1) << (a % p)  # each sum so far, and the empty sum, plus a
+        sums |= (shifted | shifted >> p) & mask
+    if not sums & (1 | 1 << (sum(coeffs) % p)):
+        return None
     top = min(k - 1, p)
     suf = [None] * (k + 1)
     suf[k] = row = [1] + [0] * top

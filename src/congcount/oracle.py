@@ -148,12 +148,13 @@ def iep_partitions(inst: CongruenceInstance, stats: dict | None = None) -> int:
 
     so no prime of n is needed.  C's least element is G = gcd(a1, ..., ak, n),
     with Z_G = n(n-1)...(n-k+1); every other d in C with h(d) != 0 runs a
-    subset DP (_partition_sum) of at most (3**k + 1) // 2 steps.  k > n, or
+    subset DP (_partition_sum) over the block weights of Z_d, one table from
+    the shared subset sums, of at most (3**k + 1) // 2 steps.  k > n, or
     G not dividing b, short-circuits to 0.  Refuses (ResourceLimitError),
     before any DP runs, when one DP, the planned DPs, or the gcds that build C
-    with the divisibility tests that solve h exceed PARTITION_STEP_BUDGET.  When a dict is passed as stats, the DP runs
-    are recorded under "divisors" and the submask pairs they visit under
-    "dp_steps".
+    with the divisibility tests that solve h exceed PARTITION_STEP_BUDGET.
+    When a dict is passed as stats, the DP runs are recorded under
+    "divisors" and the submask pairs they visit under "dp_steps".
     """
     stats = {} if stats is None else stats
     k, n, b = inst.k, inst.n, inst.b
@@ -162,8 +163,9 @@ def iep_partitions(inst: CongruenceInstance, stats: dict | None = None) -> int:
         return 0
     ell = math.gcd(sum(inst.coeffs), n)
     common = math.gcd(*inst.coeffs, n)
+    lone = falling_factorial(n, k) * common * (b % common == 0)  # h(G) * Z_G / n
     if ell == common or b % common:
-        return falling_factorial(n, k) * common * (b % common == 0)
+        return lone
     # from here on h(m) != 0 for an m in C minimal above G, so a DP is needed
     per_dp = (3 ** k + 1) // 2
     if per_dp > PARTITION_STEP_BUDGET:
@@ -193,9 +195,10 @@ def iep_partitions(inst: CongruenceInstance, stats: dict | None = None) -> int:
             f"{len(divisors)} divisors of {ell} need {planned} partition DP steps; "
             f"budget is {PARTITION_STEP_BUDGET}"
         )
-    total = n * falling_factorial(n, k) * common
+    row = [0] + [(-1) ** (s - 1) * math.factorial(s - 1) * n for s in range(1, k + 1)]
+    total = n * lone
     for d, h in divisors:
-        z, steps = _partition_sum(inst.coeffs, n, d, sums)
+        z, steps = _partition_sum([0 if s % d else row[m.bit_count()] for m, s in enumerate(sums)])
         total += h * z
         stats["dp_steps"] += steps
     stats["divisors"] = len(divisors)
@@ -204,27 +207,21 @@ def iep_partitions(inst: CongruenceInstance, stats: dict | None = None) -> int:
     return total // n
 
 
-def _partition_sum(coeffs, n: int, d: int, sums) -> tuple[int, int]:
-    """(Z_d, steps): the signed partition sum with every block sum divisible by d.
+def _partition_sum(wt) -> tuple[int, int]:
+    """(Z, steps): the signed set-partition sum over the block-weight table wt.
 
-    sums[S] is sum_S a modulo a multiple of d, S a bitmask of coefficient
-    indices.  z[S] = sum over blocks B with low(S) in B, B subset of S, of
-    wt(B) * z[S - B], where wt(B) = (-1)**(|B|-1) (|B|-1)! * n when d divides
-    sum_B a and 0 otherwise.  Only states S with wt(S) != 0, that is
-    d | sum_S a, are visited: z is 0 on the others, and the rest R = S - B
-    of such a state has wt(B) != 0 exactly when d | sum_R a.  A visited S
-    costs 2**(|S|-1) steps, one per R, and steps counts them.
+    wt[S] is the weight of the block S, a bitmask of indices, with wt[0] = 0,
+    and Z sums prod over blocks B of wt[B] over the set partitions of the
+    full set: z[S] = sum over blocks B with low(S) in B, B subset of S, of
+    wt[B] * z[S - B].  Only states S with wt[S] != 0 are visited, which is
+    sound when the support of wt is closed under disjoint unions, as that of
+    every test d | sum_S a is: a partition of S into blocks of the support
+    then puts S in it, so z is 0 on every state skipped.  A visited S costs
+    2**(|S|-1) steps, one per rest R = S - B, and steps counts them.
     """
-    k = len(coeffs)
-    full = 1 << k
-    size_weight = [0] * (k + 1)
-    for s in range(1, k + 1):
-        size_weight[s] = (-1) ** (s - 1) * math.factorial(s - 1) * n
-    wt = [0 if s % d else size_weight[m.bit_count()] for m, s in enumerate(sums)]
-    z = [0] * full
-    z[0] = 1
+    z = [1] + [0] * (len(wt) - 1)
     steps = 0
-    for S in itertools.compress(range(full), wt):  # wt[0] = 0: the empty set is z[0]
+    for S in itertools.compress(range(len(wt)), wt):  # wt[0] = 0: the empty set is z[0]
         rest = S & (S - 1)  # S without its lowest index
         steps += 1 << rest.bit_count()
         acc = wt[S]
@@ -234,7 +231,7 @@ def _partition_sum(coeffs, n: int, d: int, sums) -> tuple[int, int]:
                 acc += wt[S ^ R] * z[R]
             R = (R - 1) & rest
         z[S] = acc
-    return z[full - 1], steps
+    return z[-1], steps
 
 
 def brute_force_distinct(inst: CongruenceInstance, stats: dict | None = None) -> int:

@@ -153,3 +153,6 @@ def test_binomial_rejects_negative():
 def test_is_prime_matches_trial_division_below_20000():
     for n in range(-5, 20000):
         assert arith.is_prime(n) == trial_division_prime(n)
+    # a composite is refused at its first divisor, however large its prime cofactor
+    for q in (1000000000039, 10000000000000061):
+        assert not arith.is_prime(2 * q) and not arith.is_prime(3 * q), q

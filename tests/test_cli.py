@@ -362,12 +362,14 @@ def test_usage_errors_exit_two(capsys):
 
 
 def test_precondition_error_exits_three(capsys):
-    code, _, err = run_cli(
-        capsys, ["count", "--n", "6", "--b", "1", "--coeffs", "2,4", "--method", "formula"]
-    )
-    assert code == 3
-    assert err.startswith("error: precondition: ")
-    assert err.count("\n") == 1
+    # 300 ones mod 199: the prime is past the residue DP's reach at k = 300 but
+    # below k, so its smaller table decides the condition instead of a refused scan
+    for n, b, coeffs in [("6", "1", "2,4"), ("199", "0", _repeat("1", 300))]:
+        argv = ["count", "--n", n, "--b", b, "--coeffs", coeffs, "--method", "formula"]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 3, n
+        assert err.startswith("error: precondition: "), n
+        assert err.count("\n") == 1, n
 
 
 def test_resource_error_exits_four(capsys):

@@ -285,8 +285,9 @@ def test_subset_rank_is_the_scan_position():
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_first_zero_sum_subset_matches_the_scan_exhaustively(p):
     # every residue vector with p**k <= 2 * 10**5, k <= 7: p below, at and
-    # above k covers both sides of the pigeonhole skip, and vectors whose
-    # only witnesses hold the last index reach the complement bit
+    # above k covers both sides of the pigeonhole bound top = min(k-1, p),
+    # and vectors whose only witnesses hold the last index reach the
+    # complement bit
     for k in range(1, 8):
         if p**k > 2 * 10**5:
             break
@@ -322,6 +323,38 @@ def test_check_condition_trial_budget_is_the_dp_reach(monkeypatch, k, trials):
     calls = record_calls(monkeypatch, "factor_partially", congruence)
     assert check_condition(CongruenceInstance((1,) * k, 0, 101)).holds == (k < 101)
     assert [call["max_trials"] for call in calls] == [trials]
+
+
+def test_check_condition_gives_a_prime_below_k_the_dp_by_table_size(monkeypatch):
+    # a prime p < k needs a table of (k+1) * (p+1) masks of p bits, not
+    # (k+1)**2: at k = 300, 199 is past reach = 2**24 // 301**2 = 185, yet
+    # 301 * 200 * 199 bits fit in 2**24, and no scan of 2**300 subsets is tried
+    scanned = record_calls(monkeypatch, "_scan_failing_subset", congruence)
+    for k, p in [(300, 199), (5000, 2), (4095, 7)]:
+        rep = check_condition(CongruenceInstance((1,) * k, 0, p))
+        assert _report_tuple(rep) == (False, tuple(range(1, p + 1)), gcd(k, p), True), (k, p)
+    assert scanned == []
+    # at k = 1000, reach = 16 stops trial division at 31; k candidates find
+    # 127 in 127 * 1000003, whose DP witness {1} leaves the scan nothing to walk
+    coeffs, n = (127,) + (1,) * 999, 127 * 1000003
+    rep = check_condition(CongruenceInstance(coeffs, 0, n))
+    assert _report_tuple(rep) == reference_condition(coeffs, 0, n)
+    assert [call["before"] for call in scanned] == [(1,)]
+    scanned.clear()
+    # seeded residues at k = 260..400 against the walk over every subset:
+    # uniform and nonzero residues put the first witness at size 1 or 2, and
+    # one repeated residue mod 2 or 3 at size p; 199 is inside reach at
+    # k = 260 and past it (reach < 199 from k = 290) at the other k
+    rng = random.Random("below-k")
+    for k in range(260, 401, 35):
+        for p in (2, 3, 199):
+            cases = [tuple(rng.randrange(lo, p) for _ in range(k)) for lo in (0, 1)]
+            if p < 199:
+                cases.append((rng.randrange(1, p),) * k)
+            for coeffs in cases:
+                rep = check_condition(CongruenceInstance(coeffs, 0, p))
+                assert rep.failing_subset == reference_zero_sum_subset(coeffs, p), (k, p)
+    assert scanned == []
 
 
 def _prime_from(x, step):

@@ -17,6 +17,7 @@ from congcount.oracle import (
     pattern_count,
 )
 from support import (
+    _blocks_divisible_sum,
     brute_distinct_histogram,
     component_blocks,
     index_partitions,
@@ -301,6 +302,33 @@ def test_iep_partitions_matches_moebius_expansion(k):
             stats = {}
             assert iep_partitions(CongruenceInstance(coeffs, b, n), stats=stats) == count
             assert stats["divisors"] <= dps
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_partition_sum_is_the_blocks_divisible_sum_for_every_closure_divisor(k):
+    # the kernel on its own: for each d in the gcd-closure C, G and L
+    # included, the table wt[S] = (-1)**(|S|-1) (|S|-1)! n [d | sum_S a]
+    # gives the top-down recursion's sum, and 2**(|S|-1) steps for each
+    # nonempty S with d | sum_S a and none for the other states
+    rng = random.Random(f"kernel:{k}")
+    for n in (720, 2310, 30030):
+        head = [rng.randrange(n) * rng.choice((1, 2, 3, 5, 6)) for _ in range(k - 1)]
+        # a last coefficient completing the sum to 0 mod n, so L = n, and a uniform one
+        for coeffs in (tuple(head + [-sum(head) % n]), tuple(head + [rng.randrange(n)])):
+            sums = [sum(a for i, a in enumerate(coeffs) if S >> i & 1) for S in range(1 << k)]
+            ell = gcd(sums[-1], n)
+            closure = {gcd(s, ell) for s in sums}
+            while (closed := closure | {gcd(x, y) for x in closure for y in closure}) != closure:
+                closure = closed
+            assert {gcd(*coeffs, n), ell} <= closure
+            for d in closure:
+                blocks = [S for S in range(1, 1 << k) if sums[S] % d == 0]
+                wt = [0] * (1 << k)
+                for S in blocks:
+                    wt[S] = (-1) ** (S.bit_count() - 1) * factorial(S.bit_count() - 1) * n
+                steps = sum(2 ** (S.bit_count() - 1) for S in blocks)
+                expected = (_blocks_divisible_sum(coeffs, n, d), steps)
+                assert oracle._partition_sum(wt) == expected, (coeffs, n, d)
 
 
 def test_iep_partitions_makes_no_lehmer_calls(monkeypatch):
