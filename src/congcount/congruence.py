@@ -151,8 +151,10 @@ def _scan_failing_subset(coeffs, n: int, before=None) -> tuple[int, ...] | None:
     k = len(coeffs)
     todo = 2 ** k - 2 if before is None else _subset_rank(k, before)
     if todo > 1 << SUBSET_CAP:
+        # a count past 64 bits is stated by the power of two below it, so the line stays short
+        needed = todo if todo < 1 << 64 else f"more than 2**{todo.bit_length() - 1}"
         raise ResourceLimitError(
-            f"subset scan would need {todo} gcd checks; cap is 2**{SUBSET_CAP}"
+            f"subset scan would need {needed} gcd checks; cap is 2**{SUBSET_CAP}"
         )
     subsets = itertools.chain.from_iterable(
         itertools.combinations(range(1, k + 1), size) for size in range(1, k)

@@ -21,10 +21,15 @@ Three independent routes, all exact:
                           over blocks B.  A merged count sees its partition
                           only through l = gcd(block sums, n), which lies in
                           the gcd-closure C of the subset sums' gcds with
-                          gcd(sum of coefficients, n).  Expanding it over C
-                          makes each d's partition sum factor block by block,
-                          so a subset DP (O(3**k) per d) evaluates it without
-                          listing the Bell(k) partitions or factoring n.
+                          L = gcd(sum of coefficients, n), the sums built
+                          from the coefficients' residue classes mod L.
+                          Expanding it over C makes each d's partition sum
+                          factor block by block, so one DP per d evaluates it
+                          without listing the Bell(k) partitions or factoring
+                          n: a subset DP (O(3**k)), or a DP over compositions
+                          of the residue classes mod d (polynomial in k for a
+                          fixed number of classes), whichever plans fewer
+                          steps.
 
 None of these require anything of the coefficients, so together they cover
 instances the closed form refuses.
@@ -39,8 +44,17 @@ from .congruence import CongruenceInstance, lehmer_count
 from .errors import ResourceLimitError
 
 EDGE_SUBSET_MAX_K = 5
-# 0.13-0.19 us a DP step in CPython 3.11 on a 2-core x86 VM: at most about 6 s
+# iep_partitions plans its DPs in subset-DP steps, 0.05-0.1 us each on small
+# numbers (CPython 3.11, 2-core x86 VM).  A class-DP step, one per state and
+# one per block (_class_plan), weighs 7 of them: fit on 422 DPs of k = 6..14,
+# d = 2..30 instances, the choice then took 8% more time than always running
+# the faster DP, and ran the slower one by more than 5% only 5 times, by at
+# most 14 us.  A step on numbers of B bits took up to about 1 + B / 1024
+# small-number steps.  The slowest DPs found inside the budget took about
+# 1.1 s (subset, k = 16, d = 2) and 0.2 s (class).
 PARTITION_STEP_BUDGET = 1 << 25
+CLASS_STEP_COST = 7
+STEP_BITS = 1024
 TUPLE_BUDGET = 10 ** 8
 
 
@@ -139,22 +153,32 @@ def iep_partitions(inst: CongruenceInstance, stats: dict | None = None) -> int:
     contributes the same merged Lehmer count l * n**(|pi|-1) * [l | b], with
     l = gcd of the block sums and n, and the signed number of such subsets is
     prod over blocks B of (-1)**(|B|-1) (|B|-1)!.  The partitions are not
-    listed: every l lies in C, the gcd-closure of the gcd(s, L) over the 2**k
+    listed: every l lies in C, the gcd-closure of the gcd(s, L) over the
     subset sums s, L = gcd(a1 + ... + ak, n) (the empty sum gives L).  With h
     solved in increasing order from sum over d in C, d | m of h(d) = m * [m | b],
 
         count = n**-1 * sum over d in C of h(d) * Z_d,
         Z_d = sum over pi of prod over B of (-1)**(|B|-1) (|B|-1)! * n * [d | sum_B a],
 
-    so no prime of n is needed.  C's least element is G = gcd(a1, ..., ak, n),
-    with Z_G = n(n-1)...(n-k+1); every other d in C with h(d) != 0 runs a
-    subset DP (_partition_sum) over the block weights of Z_d, one table from
-    the shared subset sums, of at most (3**k + 1) // 2 steps.  k > n, or
-    G not dividing b, short-circuits to 0.  Refuses (ResourceLimitError),
-    before any DP runs, when one DP, the planned DPs, or the gcds that build C
-    with the divisibility tests that solve h exceed PARTITION_STEP_BUDGET.
-    When a dict is passed as stats, the DP runs are recorded under
-    "divisors" and the submask pairs they visit under "dp_steps".
+    so no prime of n is needed.  The subset sums mod L are built from the
+    coefficients' residue classes mod L, m'_r of them in class r, so there
+    are at most prod (m'_r + 1) of them, a number planned before they are
+    built.  C's least element is G = gcd(a1, ..., ak, n), with
+    Z_G = n(n-1)...(n-k+1); every other d in C with h(d) != 0 runs one DP
+    over the block weights of Z_d, whichever plans the fewer steps: the
+    subset DP (_partition_sum), (3**k + 1) // 2 steps over a table built from
+    the 2**k subset sums, or the DP over compositions of the residue classes
+    mod d (_class_partition_sum), its _class_plan steps weighted by
+    CLASS_STEP_COST.  A step on table entries of about
+    k * (bits of n + bits of k) bits counts 1 + that // STEP_BITS times.
+    k > n, or G not dividing b, short-circuits to 0.  Refuses
+    (ResourceLimitError), before any DP runs, when the subset sums mod L, the
+    gcds that build C with the divisibility tests that solve h, or the chosen
+    DPs exceed PARTITION_STEP_BUDGET.  When no two classes mod L meet mod any
+    d above G, every DP costs what one mod L does, and one over the budget
+    is refused before the sums are built.  When a dict is passed as stats,
+    the DP runs are recorded under "divisors" and their steps under
+    "dp_steps".
     """
     stats = {} if stats is None else stats
     k, n, b = inst.k, inst.n, inst.b
@@ -167,19 +191,36 @@ def iep_partitions(inst: CongruenceInstance, stats: dict | None = None) -> int:
     if ell == common or b % common:
         return lone
     # from here on h(m) != 0 for an m in C minimal above G, so a DP is needed
-    per_dp = (3 ** k + 1) // 2
-    if per_dp > PARTITION_STEP_BUDGET:
+    mults = {}
+    for a in inst.coeffs:
+        a %= ell
+        mults[a] = mults.get(a, 0) + 1
+    spent = math.prod([m + 1 for m in mults.values()])  # bounds the subset sums mod L
+    if spent > PARTITION_STEP_BUDGET:
         raise ResourceLimitError(
-            f"one partition DP at k = {k} needs {per_dp} steps; "
+            f"the subset sums of {len(mults)} residue classes mod {ell} number up to {spent}; "
             f"budget is {PARTITION_STEP_BUDGET}"
         )
-    sums = [0]
-    for a in inst.coeffs:
-        sums += [(s + a) % ell for s in sums]
-    spent, closure = len(sums), set()
-    for x in {math.gcd(s, ell) for s in set(sums)}:
+    per_dp = (3 ** k + 1) // 2
+    size = 1 + k * (n.bit_length() + k.bit_length()) // STEP_BITS
+    if per_dp * size > PARTITION_STEP_BUDGET and all(
+        math.gcd(r - s, ell) == common for r, s in itertools.combinations(mults, 2)
+    ):
+        # a class mod d for d | L above G is then a class mod L
+        one_dp = min(per_dp, CLASS_STEP_COST * _class_plan(mults.values())) * size
+        if one_dp > PARTITION_STEP_BUDGET:
+            raise ResourceLimitError(
+                f"one partition DP over {len(mults)} residue classes mod {ell} needs "
+                f"{one_dp} steps; budget is {PARTITION_STEP_BUDGET}"
+            )
+    sums = {0}
+    for r, m in mults.items():
+        if r:
+            sums = {(s + j) % ell for j in range(0, (m + 1) * r, r) for s in sums}
+    closure = {ell}  # every x below divides L, so x = gcd(x, L) joins too
+    for x in {math.gcd(s, ell) for s in sums} - closure:
         spent += len(closure)
-        closure |= {x, *(math.gcd(x, y) for y in closure)}
+        closure |= {math.gcd(x, y) for y in closure}
         if spent + len(closure) ** 2 > PARTITION_STEP_BUDGET:  # and the tests d | m below
             raise ResourceLimitError(
                 f"the gcd-closure of the subset sums mod {ell} needs more than "
@@ -188,20 +229,45 @@ def iep_partitions(inst: CongruenceInstance, stats: dict | None = None) -> int:
     weights = {}
     for m in sorted(closure):
         weights[m] = m * (b % m == 0) - sum([h for d, h in weights.items() if m % d == 0])
-    divisors = [(d, h) for d, h in weights.items() if h and d != common]
-    planned = len(divisors) * per_dp
+    # a class DP can plan fewer steps only if one class of all k coefficients would
+    class_dps = CLASS_STEP_COST * (k + k * (k + 1) // 2) < per_dp
+    plans, planned = [], 0
+    for d, h in weights.items():
+        if h and d != common:
+            classes, cost = None, per_dp
+            if class_dps:
+                by_class = {}
+                for r, m in mults.items():
+                    r %= d
+                    by_class[r] = by_class.get(r, 0) + m
+                class_cost = CLASS_STEP_COST * _class_plan(by_class.values())
+                if class_cost < per_dp:
+                    classes, cost = by_class, class_cost
+            plans.append((d, h, classes))
+            planned += cost * size
     if planned > PARTITION_STEP_BUDGET:
         raise ResourceLimitError(
-            f"{len(divisors)} divisors of {ell} need {planned} partition DP steps; "
+            f"{len(plans)} divisors of {ell} need {planned} partition DP steps; "
             f"budget is {PARTITION_STEP_BUDGET}"
         )
-    row = [0] + [(-1) ** (s - 1) * math.factorial(s - 1) * n for s in range(1, k + 1)]
+    row = [0, n]  # row[s] = (-1)**(s-1) (s-1)! n, a block of s elements
+    for s in range(1, k):
+        row.append(-s * row[-1])
     total = n * lone
-    for d, h in divisors:
-        z, steps = _partition_sum([0 if s % d else row[m.bit_count()] for m, s in enumerate(sums)])
+    subset_sums = None
+    for d, h, classes in plans:
+        if classes is not None:
+            z, steps = _class_partition_sum(classes.items(), d, row)
+        else:
+            if subset_sums is None:  # d divides L, so the sums need no reduction
+                subset_sums = [0]
+                for a in inst.coeffs:
+                    subset_sums += [s + a for s in subset_sums]
+            wt = [0 if s % d else row[m.bit_count()] for m, s in enumerate(subset_sums)]
+            z, steps = _partition_sum(wt)
         total += h * z
         stats["dp_steps"] += steps
-    stats["divisors"] = len(divisors)
+    stats["divisors"] = len(plans)
     if total % n:
         raise AssertionError(f"partition sum {total} is not a multiple of n for {inst}")
     return total // n
@@ -231,6 +297,76 @@ def _partition_sum(wt) -> tuple[int, int]:
                 acc += wt[S ^ R] * z[R]
             R = (R - 1) & rest
         z[S] = acc
+    return z[-1], steps
+
+
+def _class_plan(mults) -> int:
+    """_class_partition_sum's steps over classes of these multiplicities, all states visited.
+
+    A state alpha != 0 costs 1 + alpha_i0 * prod over i > i0 of (alpha_i + 1)
+    steps, i0 its lowest nonzero class.  Over the states whose lowest nonzero
+    class is i0 the blocks sum to m_i0 (m_i0 + 1) / 2 times the product over
+    i > i0 of (m_i + 1)(m_i + 2) / 2.
+    """
+    states, blocks, tail = 1, 0, 1
+    for m in reversed(mults):
+        blocks += m * (m + 1) // 2 * tail
+        tail *= (m + 1) * (m + 2) // 2
+        states *= m + 1
+    return states - 1 + blocks
+
+
+def _class_partition_sum(classes, d: int, row) -> tuple[int, int]:
+    """(Z, steps): _partition_sum's recurrence over compositions of residue classes mod d.
+
+    classes lists (r, m) pairs: m of the elements are r mod d.  A block B
+    weighs row[|B|] when d divides its sum and 0 otherwise, so it matters
+    only through its composition beta (beta_i elements of class i), and z
+    only through the state's composition alpha <= m.  States are indexed in
+    mixed radix, class 0 fastest.  The designated element of alpha lies in
+    its lowest nonzero class i0, and the blocks holding it with composition
+    beta number C(alpha_i0 - 1, beta_i0 - 1) times the product over i != i0
+    of C(alpha_i, beta_i).  Those binomials are folded into the tables: state
+    alpha holds z[alpha] * m!/alpha!, block beta holds
+    row[|beta|] * beta_i0 / beta! (an integer when (|beta| - 1)! divides
+    row[|beta|]), and the sum over beta is divided by alpha_i0.  Only states
+    whose sum d divides are visited, as in _partition_sum.  A visited alpha
+    costs one step, and one more per beta: alpha_i0 times the product over
+    i > i0 of (alpha_i + 1).  steps counts them.
+    """
+    fact = [1]
+    for s in range(1, len(row)):
+        fact.append(fact[-1] * s)
+    # per state, class by class: its residue mod d, size and product of digit
+    # factorials, and the stride and digit of its lowest nonzero class
+    res, size, fprod, low, top = [0], [0], [1], [0], [0]
+    stride = 1
+    for r, m in classes:
+        digits = range(1, m + 1)
+        low += [lo or stride for _ in digits for lo in low]
+        top += [t or j for j in digits for t in top]
+        res = [(x + j * r) % d for j in range(m + 1) for x in res]
+        size = [s + j for j in range(m + 1) for s in size]
+        fprod = [f * fact[j] for j in range(m + 1) for f in fprod]
+        stride *= m + 1
+    wt = [0 if x else row[s] * t // f for x, s, t, f in zip(res, size, top, fprod)]
+    z = [0] * stride
+    z[0] = fprod[-1]
+    steps = 0
+    box_of, box = 0, [0]  # box: every index digit by digit <= box_of
+    for state in itertools.compress(range(1, stride), wt[1:]):
+        lo, t = low[state], top[state]
+        upper = state - t * lo  # alpha without its lowest nonzero class
+        if upper != box_of:
+            box, box_of, rest = [0], upper, upper
+            while rest:
+                span, digit = low[rest], top[rest]
+                box = [y + o for o in range(0, (digit + 1) * span, span) for y in box]
+                rest -= digit * span
+        steps += 1 + t * len(box)
+        blocks = range(lo, (t + 1) * lo, lo)
+        acc = sum([wt[x] * z[state - x] for o in blocks for y in box if wt[x := o + y]])
+        z[state] = acc // t
     return z[-1], steps
 
 

@@ -1,8 +1,9 @@
 """Independent brute-force oracles shared by the test suite, and a call recorder.
 
-Everything here enumerates directly, without reusing the library's recurrence
-or inclusion-exclusion code paths, so a test comparing against these helpers
-compares two genuinely different routes.
+Everything here enumerates directly or evaluates a closed form of its own,
+without reusing the library's recurrence or inclusion-exclusion code paths,
+so a test comparing against these helpers compares two genuinely different
+routes.
 """
 
 import inspect
@@ -339,6 +340,66 @@ def _blocks_divisible_sum(coeffs, n, d):
             sub = (sub - 1) & others
 
     return z((1 << len(coeffs)) - 1)
+
+
+def _moebius(t):
+    """mu(t) by trial division."""
+    mu, p = 1, 2
+    while t > 1:
+        if p * p > t:
+            p = t
+        if t % p == 0:
+            t //= p
+            if t % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return mu
+
+
+def ramanujan_sum(t, s):
+    """c_t(s), the sum of the s-th powers of the primitive t-th roots of unity.
+
+    Summed as sum over e | gcd(t, s) of mu(t/e) e.
+    """
+    g = gcd(t, s)
+    return sum(_moebius(t // e) * e for e in range(1, g + 1) if g % e == 0)
+
+
+def equal_coefficient_count(a, k, b, n):
+    """Distinct-coordinate solutions of a*x1 + ... + a*xk = b (mod n), by Ramanujan sums.
+
+    k! times the k-subsets of Z_n whose sum s has a*s = b.  With g = gcd(a, n)
+    and m = n/g that needs g | b, and then s = s0 (mod m); by the roots of
+    unity filter the k-subsets with s = s0 (mod m) number
+    (1/m) sum over t | gcd(m, k) of (-1)**(k + k/t) c_t(s0) C(n/t, k/t)
+    (Bibak, Kapron & Srinivasan, Des. Codes Cryptogr., 2018).
+    """
+    g = gcd(a, n)
+    if b % g:
+        return 0
+    m = n // g
+    s0 = b // g * pow(a // g, -1, m) % m if m > 1 else 0
+    total = sum(
+        (-1) ** (k + k // t) * ramanujan_sum(t, s0) * comb(n // t, k // t)
+        for t in range(1, gcd(m, k) + 1)
+        if gcd(m, k) % t == 0
+    )
+    if total % m:
+        raise AssertionError(f"{total} is not a multiple of m = {m}")
+    return factorial(k) * (total // m)
+
+
+def two_class_partition_sum(m0, m1, n):
+    """Z_2 in closed form: the signed partition sum of m0 even and m1 odd elements, n even.
+
+    Each block of s elements with an even sum weighs (-1)**(s-1) (s-1)! n;
+    the sum over set partitions is m0! m1! (-1)**(m1/2) C(n/2, m1/2) C(n - m1, m0)
+    when m1 is even and m1 <= n, and 0 otherwise.
+    """
+    if m1 % 2 or m1 > n:
+        return 0
+    return factorial(m0) * factorial(m1) * (-1) ** (m1 // 2) * comb(n // 2, m1 // 2) * comb(n - m1, m0)
 
 
 def trial_division_prime(n):

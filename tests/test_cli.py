@@ -99,12 +99,18 @@ TRANSCRIPTS = [
         0, '{"inputs": {"n": "4", "b": "0", "coeffs": ["2", "2"]},'
         ' "results": {"iep-edges": "4", "iep-partitions": "4", "brute": "4"},'
         ' "skipped": {"formula": "hypothesis fails"}, "agree": true}\n', ""),
-    # a1 + a2 = p: the formula's hypothesis fails, and k = 20 is past every oracle's cap
+    # a1 + a2 = p: the formula's hypothesis fails.  Twenty distinct residues put
+    # k = 20 past every oracle's cap; three residue classes leave it to iep-partitions
     ("oracle_compare_with_no_answer_exits_four",
-        f"oracle-compare --n 1000003 --b 0 --coeffs 1,1000002,{_repeat('1', 17)},999986",
+        "oracle-compare --n 1000003 --b 0 --coeffs 1,1000002,"
+        f"{','.join(str(2**i) for i in range(1, 18))},737861",
         4, "", "error: resource: no method answered (formula: hypothesis fails, iep-edges: "
         "resource cap exceeded, iep-partitions: resource cap exceeded, brute: resource cap "
         "exceeded)\n"),
+    ("oracle_compare_with_only_partitions_exits_four",
+        f"oracle-compare --n 1000003 --b 0 --coeffs 1,1000002,{_repeat('1', 17)},999986",
+        4, "", "error: resource: only iep-partitions answered (formula: hypothesis fails, "
+        "iep-edges: resource cap exceeded, brute: resource cap exceeded)\n"),
     ("graph_table_connected", "graph-table --kmax 3 --connected",
         0, '{"e": 0, "k": 1, "count": "1"}\n{"e": 1, "k": 2, "count": "1"}\n'
         '{"e": 2, "k": 3, "count": "3"}\n{"e": 3, "k": 3, "count": "1"}\n', ""),
@@ -248,6 +254,15 @@ def test_oracle_compare_disagreement_exits_one(capsys, monkeypatch):
     assert code == 1
     assert out.endswith("agreement: no\n")
     assert err == "error: disagreement: oracle methods returned differing counts\n"
+
+
+def test_check_refusal_states_a_huge_scan_by_a_power_of_two(capsys):
+    # 1000 ones mod the prime 1000003, past the residue DP's reach: the scan of
+    # 2**1000 - 2 subsets is refused on one short line, not with its 302 digits
+    code, out, err = run_cli(capsys, ["check", "--n", "1000003", "--coeffs", _repeat("1", 1000)])
+    assert (code, out) == (4, "")
+    assert err == "error: resource: subset scan would need more than 2**999 gcd checks; cap is 2**24\n"
+    assert len(err) < 120
 
 
 def test_oracle_compare_skip_reasons_when_only_partitions_fit(capsys):

@@ -1,6 +1,6 @@
 import random
 import tracemalloc
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import factorial, gcd, perm
 
 import pytest
@@ -20,12 +20,18 @@ from support import (
     _blocks_divisible_sum,
     brute_distinct_histogram,
     component_blocks,
+    equal_coefficient_count,
     index_partitions,
     prefix_lookup_count,
     record_calls,
     reference_iep_partitions,
     reference_moebius_expansion,
+    two_class_partition_sum,
 )
+
+# CLASS_STEP_COST values that force iep_partitions' DP: 0 plans every class DP
+# at no cost, and one past the budget plans none under a subset DP's cost
+FORCED_KERNELS = {"class": 0, "subset": oracle.PARTITION_STEP_BUDGET + 1}
 
 
 def test_all_pairs():
@@ -165,21 +171,58 @@ def test_iep_partitions_examples():
     assert stats == {"divisors": 0, "dp_steps": 0}
 
 
-def test_iep_partitions_cap():
-    # the planned steps are (3**k + 1) // 2 per d in the gcd-closure C of the
-    # subset sums mod L = gcd(sum, n) with h(d) != 0, other than its least
-    # element G; here C is every divisor of L and b = 0 keeps every h(d) nonzero
-    per_divisor = (3**14 + 1) // 2
-    assert 14 * per_divisor <= oracle.PARTITION_STEP_BUDGET < 15 * per_divisor
-    head = tuple(range(1, 14))  # sum 91, and the 1 makes every d > 1 run a DP
-    # L = 144 has 14 divisors above 1: just under the budget
-    stats = {}
-    assert iep_partitions(CongruenceInstance(head + (53,), 0, 144), stats=stats) > 0
-    assert stats["divisors"] == 14
-    assert stats["dp_steps"] <= 14 * per_divisor
-    # L = 120 has 15: just over it, refused before any DP
-    with pytest.raises(ResourceLimitError, match=str(15 * per_divisor)):
-        iep_partitions(CongruenceInstance(head + (29,), 0, 120))
+def _class_steps(counts):
+    """Steps of the class DP over every composition alpha <= counts, summed state by state.
+
+    A state alpha != 0 costs one step and one per block holding an element of
+    its lowest nonzero class i0: alpha_i0 * prod over i > i0 of (alpha_i + 1).
+    """
+    total = 0
+    for alpha in product(*(range(m + 1) for m in counts)):
+        if any(alpha):
+            i0 = next(i for i, a in enumerate(alpha) if a)
+            blocks = alpha[i0]
+            for a in alpha[i0 + 1:]:
+                blocks *= a + 1
+            total += 1 + blocks
+    return total
+
+
+def test_iep_partitions_cap(monkeypatch):
+    # each d in the gcd-closure C of the subset sums mod L = gcd(sum, n) with
+    # h(d) != 0, other than its least element G, plans the cheaper of a
+    # subset DP, (3**k + 1) // 2 steps, and a class DP, CLASS_STEP_COST steps
+    # per state and per block over the classes mod d in order of first
+    # appearance; here C is every divisor of L and b = 0 keeps every h(d)
+    # nonzero.  The plans are summed and weighted by the size of the numbers
+    k = 14
+    head = tuple(range(1, k))  # sum 91, and the 1 makes every d > 1 run a DP
+    for n, last in ((144, 53), (120, 29)):
+        coeffs = head + (last,)
+        divisors = [d for d in range(2, n + 1) if n % d == 0]
+        chosen = []
+        for d in divisors:
+            counts = {}
+            for a in coeffs:
+                counts[a % d] = counts.get(a % d, 0) + 1
+            chosen.append(min((3**k + 1) // 2, oracle.CLASS_STEP_COST * _class_steps(counts.values())))
+        planned = sum(chosen) * (1 + k * (n.bit_length() + k.bit_length()) // oracle.STEP_BITS)
+        # small d take the class DP, the large ones the subset DP
+        assert min(chosen) < (3**k + 1) // 2 == max(chosen)
+        # just under the budget: answered, one DP per divisor
+        monkeypatch.setattr(oracle, "PARTITION_STEP_BUDGET", planned)
+        stats = {}
+        inst = CongruenceInstance(coeffs, 0, n)
+        assert iep_partitions(inst, stats=stats) > 0
+        assert stats["divisors"] == len(divisors)
+        # just over it: refused before any DP
+        monkeypatch.setattr(oracle, "PARTITION_STEP_BUDGET", planned - 1)
+        subset_calls = record_calls(monkeypatch, "_partition_sum", oracle)
+        class_calls = record_calls(monkeypatch, "_class_partition_sum", oracle)
+        with pytest.raises(ResourceLimitError, match=f"{len(divisors)} divisors of {n} need {planned} "):
+            iep_partitions(inst)
+        assert subset_calls == class_calls == []
+        monkeypatch.undo()
 
 
 def test_iep_partitions_needs_no_factoring(monkeypatch):
@@ -211,14 +254,32 @@ def test_iep_partitions_answers_a_semiprime_gcd():
 
 
 def test_iep_partitions_refuses_one_dp_over_the_budget(monkeypatch):
-    # k = 17 once L != G: one DP is over the budget, refused before the
-    # 2**17 subset sums are built
-    calls = record_calls(monkeypatch, "_partition_sum", oracle)
+    # k = 17 once L != G: a subset DP of (3**17 + 1) // 2 steps is over the
+    # budget.  Sixteen ones and n - 16 fall in two residue classes, so the
+    # class DP answers, in 33 steps; every proper subset sum is a unit, so the
+    # formula answers too
     n = 1000000007 * 1000000009
-    one_dp = f"one partition DP at k = 17 needs {(3**17 + 1) // 2} steps"
-    with pytest.raises(ResourceLimitError, match=one_dp):
-        iep_partitions(CongruenceInstance((1,) * 16 + (n - 16,), 0, n))
-    assert calls == []
+    inst = CongruenceInstance((1,) * 16 + (n - 16,), 0, n)
+    stats = {}
+    assert iep_partitions(inst, stats=stats) == distinct_count_formula(inst)
+    assert stats == {"divisors": 1, "dp_steps": 33}
+    # seventeen distinct residues mod a prime: no two meet mod any d above
+    # G = 1, so each DP costs what one mod L does, over the budget for either
+    # kernel.  Refused before any DP and before the 2**17 subset sums are built
+    p = 1000003
+    coeffs = tuple(2**i for i in range(16)) + (p - (2**16 - 1),)
+    subset_calls = record_calls(monkeypatch, "_partition_sum", oracle)
+    class_calls = record_calls(monkeypatch, "_class_partition_sum", oracle)
+    one_dp = f"one partition DP over 17 residue classes mod {p} needs {(3**17 + 1) // 2} steps"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=one_dp):
+            iep_partitions(CongruenceInstance(coeffs, 0, p))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert subset_calls == class_calls == []
     # G = 1000000007 not dividing b answers 0 with no DP at any k
     stats = {}
     coeffs = (1000000007,) * 16 + (n - 16 * 1000000007,)
@@ -245,9 +306,15 @@ def test_iep_partitions_refuses_a_closure_over_the_budget(monkeypatch):
     assert calls == []
 
 
-def test_iep_partitions_matches_reference_grid(exhaustive_grid):
+def test_iep_partitions_matches_reference_grid(exhaustive_grid, monkeypatch):
     for coeffs, n, answers in exhaustive_grid:
         assert answers["iep-partitions"] == reference_iep_partitions(coeffs, n), (coeffs, n)
+    # and with each DP forced in turn
+    for kernel, cost in FORCED_KERNELS.items():
+        monkeypatch.setattr(oracle, "CLASS_STEP_COST", cost)
+        for coeffs, n, answers in exhaustive_grid:
+            counts = [iep_partitions(CongruenceInstance(coeffs, b, n)) for b in range(n)]
+            assert counts == answers["iep-partitions"], (kernel, coeffs, n)
 
 
 def _random_vectors(rng, k):
@@ -276,20 +343,26 @@ def _random_vectors(rng, k):
 
 
 @pytest.mark.parametrize("k", [5, 6, 7, 8, 9])
-def test_iep_partitions_matches_reference_random(k):
+def test_iep_partitions_matches_reference_random(k, monkeypatch):
     rng = random.Random(f"partitions:{k}")
     for coeffs, n in _random_vectors(rng, k):
         b = rng.choice((0, rng.randrange(n), n // 2, n // 4))
         stats = {}
         inst = CongruenceInstance(coeffs, b, n)
-        assert iep_partitions(inst, stats=stats) == reference_iep_partitions(coeffs, n)[b]
+        reference = reference_iep_partitions(coeffs, n)[b]
+        assert iep_partitions(inst, stats=stats) == reference
+        # the cheaper DP never takes more steps than a subset DP plans
         assert stats["dp_steps"] <= stats["divisors"] * (3**k + 1) // 2
         if gcd(sum(coeffs), n) == 1:
             assert stats == {"divisors": 0, "dp_steps": 0}
+        for kernel, cost in FORCED_KERNELS.items():
+            monkeypatch.setattr(oracle, "CLASS_STEP_COST", cost)
+            assert iep_partitions(inst) == reference, (kernel, coeffs, b, n)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("k", [10, 11, 12])
-def test_iep_partitions_matches_moebius_expansion(k):
+def test_iep_partitions_matches_moebius_expansion(k, monkeypatch):
     # past the Bell-number reference: the factor-and-Moebius expansion over
     # every divisor of L, which never needs fewer DPs than the closure
     rng = random.Random(f"moebius:{k}")
@@ -300,8 +373,13 @@ def test_iep_partitions_matches_moebius_expansion(k):
             b = rng.choice((0, rng.randrange(n), n // 2))
             count, dps = reference_moebius_expansion(coeffs, b, n)
             stats = {}
-            assert iep_partitions(CongruenceInstance(coeffs, b, n), stats=stats) == count
+            inst = CongruenceInstance(coeffs, b, n)
+            assert iep_partitions(inst, stats=stats) == count
             assert stats["divisors"] <= dps
+            for kernel, cost in FORCED_KERNELS.items():
+                monkeypatch.setattr(oracle, "CLASS_STEP_COST", cost)
+                assert iep_partitions(inst) == count, (kernel, coeffs, b, n)
+            monkeypatch.undo()
 
 
 @pytest.mark.parametrize("k", range(1, 10))
@@ -329,6 +407,135 @@ def test_partition_sum_is_the_blocks_divisible_sum_for_every_closure_divisor(k):
                 steps = sum(2 ** (S.bit_count() - 1) for S in blocks)
                 expected = (_blocks_divisible_sum(coeffs, n, d), steps)
                 assert oracle._partition_sum(wt) == expected, (coeffs, n, d)
+
+
+def _block_row(k, n):
+    """[0] + [(-1)**(s-1) (s-1)! n for s = 1..k], the block weights of Z_d."""
+    return [0] + [(-1) ** (s - 1) * factorial(s - 1) * n for s in range(1, k + 1)]
+
+
+def _subset_dp(coeffs, d, n):
+    """Z_d of these coefficients by the subset DP, over a table built from every subset's sum."""
+    row = _block_row(len(coeffs), n)
+    wt = [0] * (1 << len(coeffs))
+    for S in range(1, 1 << len(coeffs)):
+        if sum(a for i, a in enumerate(coeffs) if S >> i & 1) % d == 0:
+            wt[S] = row[S.bit_count()]
+    return oracle._partition_sum(wt)[0]
+
+
+def _first_appearance_classes(coeffs, d):
+    """(r, m) pairs of the residues mod d, in order of first appearance, as iep_partitions builds them."""
+    classes = {}
+    for a in coeffs:
+        classes[a % d] = classes.get(a % d, 0) + 1
+    return list(classes.items())
+
+
+def test_class_partition_sum_is_the_subset_dp_exhaustively():
+    # every coefficient vector mod d, d <= 6, k <= 6, n in {d, 2d, 3d}: Z_d
+    # sees only the multiset, so the subset DP runs once per sorted vector and
+    # the class DP once per class order and multiplicities that a vector's
+    # first appearances give.  Steps never pass the plan, and meet it when
+    # every state is visited (d = 1)
+    checked = 0
+    for d in range(1, 7):
+        for k in range(1, 7):
+            for n in (d, 2 * d, 3 * d):
+                row = _block_row(k, n)
+                subset, by_class = {}, {}
+                for coeffs in product(range(d), repeat=k):
+                    key = tuple(sorted(coeffs))
+                    if key not in subset:
+                        subset[key] = _subset_dp(key, d, n)
+                    classes = tuple(_first_appearance_classes(coeffs, d))
+                    if classes not in by_class:
+                        z, steps = oracle._class_partition_sum(classes, d, row)
+                        plan = oracle._class_plan([m for _, m in classes])
+                        assert steps <= plan and (steps == plan or d > 1), classes
+                        by_class[classes] = z
+                    assert by_class[classes] == subset[key], (coeffs, d, n)
+                    checked += 1
+    assert checked == 3 * sum(d**k for d in range(1, 7) for k in range(1, 7))
+
+
+def test_class_partition_sum_is_the_subset_dp_on_seeded_vectors():
+    rng = random.Random("class-kernel")
+    for k in range(7, 13):
+        for _ in range(6):
+            d = rng.choice((2, 3, 4, 5, 6, 8, 10, 12, 30))
+            n = d * rng.randint(1, 4)
+            # few classes or many, and a full sum d divides or not
+            coeffs = [rng.choice((1, 2, d - 1, rng.randrange(d))) % d for _ in range(k)]
+            if rng.random() < 0.7:
+                coeffs[-1] = (coeffs[-1] - sum(coeffs)) % d
+            classes = _first_appearance_classes(coeffs, d)
+            rng.shuffle(classes)
+            z, steps = oracle._class_partition_sum(classes, d, _block_row(k, n))
+            assert z == _subset_dp(coeffs, d, n), (coeffs, d, n)
+            assert steps <= oracle._class_plan([m for _, m in classes])
+
+
+def test_class_partition_sum_matches_the_two_class_closed_form():
+    # mod 2: m0 even and m1 odd elements, any even n, up to k = 200; the
+    # large k keep one class small, so that the DP stays short
+    rng = random.Random("two-classes")
+    cases = [(rng.randint(0, 40), rng.randint(0, 40), 2 * rng.randint(1, 40)) for _ in range(120)]
+    cases += [(190, 10, 1000), (10, 190, 1000), (196, 4, 400), (0, 200, 2), (0, 200, 400), (200, 0, 2)]
+    for m0, m1, n in cases:
+        if m0 + m1:
+            classes = [(r, m) for r, m in ((0, m0), (1, m1)) if m]
+            z, _ = oracle._class_partition_sum(classes, 2, _block_row(m0 + m1, n))
+            assert z == two_class_partition_sum(m0, m1, n), (m0, m1, n)
+
+
+def test_equal_coefficient_count_matches_brute_force():
+    # every a, b and n <= 11 with k <= 5: one histogram of the sums of the
+    # distinct tuples per (n, k), read at each a
+    for n in range(1, 12):
+        for k in range(1, 6):
+            sums = [0] * n
+            for xs in permutations(range(n), k):
+                sums[sum(xs) % n] += 1
+            for a in range(n):
+                hist = [0] * n
+                for s, count in enumerate(sums):
+                    hist[a * s % n] += count
+                assert [equal_coefficient_count(a, k, b, n) for b in range(n)] == hist, (a, k, n)
+
+
+def test_iep_partitions_counts_one_class_past_the_subset_dp(monkeypatch):
+    # k = 17..100 equal coefficients with L = gcd(k a, n) above G = gcd(a, n):
+    # one residue class mod every d, so only the class DP answers
+    for k, a, n in ((17, 1, 34), (20, 7, 60), (30, 2, 45), (40, 3, 100), (64, 5, 96), (100, 7, 1000)):
+        assert gcd(k * a, n) != gcd(a, n)
+        for b in (0, 1, 3, n // 2):
+            stats = {}
+            assert iep_partitions(CongruenceInstance((a,) * k, b, n), stats=stats) == (
+                equal_coefficient_count(a, k, b, n)
+            ), (k, a, b, n)
+            assert stats["divisors"] > 0 or b % gcd(a, n)
+    monkeypatch.setattr(oracle, "CLASS_STEP_COST", oracle.PARTITION_STEP_BUDGET + 1)
+    with pytest.raises(ResourceLimitError):
+        iep_partitions(CongruenceInstance((1,) * 17, 0, 34))
+
+
+def test_iep_partitions_reaches_few_classes_at_large_k():
+    # j ones, l twos and p - j - 2l mod the prime p = 1009 > j + 2l: every
+    # proper subset sum is a unit, so the formula answers (p is inside its
+    # residue DP's reach at every k here), and the three classes mod p give
+    # the class DP, which visits the full state only
+    p = 1009
+    assert p <= (1 << congruence.SUBSET_CAP) // 101**2
+    for k in (17, 20, 30, 40, 60, 100):
+        for l in (1, k // 10, k // 8):
+            j = k - 1 - l
+            inst_coeffs = (1,) * j + (2,) * l + (p - j - 2 * l,)
+            for b in (0, 5):
+                inst = CongruenceInstance(inst_coeffs, b, p)
+                stats = {}
+                assert iep_partitions(inst, stats=stats) == distinct_count_formula(inst), (k, l, b)
+                assert stats["divisors"] == 1
 
 
 def test_iep_partitions_makes_no_lehmer_calls(monkeypatch):

@@ -114,6 +114,8 @@ def test_brute_force_shares_no_code_with_the_other_counters():
         "iep_edge_subsets",
         "iep_partitions",
         "_partition_sum",
+        "_class_partition_sum",
+        "_class_plan",
         "_edge_subset_signs",
         "check_condition",
         "distinct_count_formula",
