@@ -12,8 +12,10 @@ Three independent routes, all exact:
                           connected components of the pattern graph, and the
                           merged congruence is counted by lehmer_count.  The
                           subsets are walked once per k and grouped by
-                          component partition, so each call counts one merged
-                          congruence per partition.
+                          component partition, and the partitions by the two
+                          things their merged count sees (the gcd of the
+                          block sums with n, and the number of blocks), so
+                          each call counts one merged congruence per group.
 * iep_partitions       -- the same sum compressed over set partitions: every
                           edge subset inducing the same component partition
                           contributes the same merged count, and the signs
@@ -96,7 +98,8 @@ def pattern_count(inst: CongruenceInstance, pattern) -> int:
 
 def _merged_count(inst: CongruenceInstance, blocks) -> int:
     """lehmer_count of the congruence with each block's coefficients merged into one variable."""
-    merged = tuple(sum(inst.coeffs[i - 1] for i in block) for block in blocks)
+    coeffs = inst.coeffs
+    merged = [sum([coeffs[i - 1] for i in block]) for block in blocks]
     return lehmer_count(CongruenceInstance(merged, inst.b, inst.n))
 
 
@@ -105,17 +108,23 @@ def iep_edge_subsets(inst: CongruenceInstance, stats: dict | None = None) -> int
 
     sum over S of (-1)**|S| * pattern_count(inst, S), S ranging over all
     2**C(k,2) subsets of index pairs.  Subsets with the same component
-    partition have the same merged count, so the sum is taken as one merged
-    lehmer_count per partition, times the signed number of subsets that
-    induce it (_edge_subset_signs, walked once per k).  Exact for arbitrary
-    coefficients, but the walk is doubly exponential, hence the small cap on
-    k; k > n short-circuits to 0 before that cap, without walking.  When a
+    partition have the same merged count, so each partition is weighted by
+    the signed number of subsets that induce it (_edge_subset_signs, walked
+    once per k).  A merged count l * n**(blocks-1) * [l | b] sees its
+    partition only through l = gcd(block sums, n) and its number of blocks,
+    so the weights are summed per such key, each block sum read by bitmask
+    from one table of the 2**k subset sums, and one merged lehmer_count is
+    taken per key, on a partition of that key.  No key's total is 0: every
+    partition into m blocks is weighted with the sign (-1)**(k-m).  Exact
+    for arbitrary coefficients, but the walk is doubly exponential, hence the
+    small cap on k; k > n short-circuits to 0 before that cap, without
+    walking or building the table.  When a
     dict is passed as stats, the subsets walked for this k are recorded under
-    "edge_subsets" and the merged Lehmer counts under "partitions".
+    "edge_subsets" and the partitions summed under "partitions".
     """
     stats = {} if stats is None else stats
-    k = inst.k
-    if k > inst.n:
+    k, n = inst.k, inst.n
+    if k > n:
         stats["edge_subsets"] = stats["partitions"] = 0
         return 0
     if k > EDGE_SUBSET_MAX_K:
@@ -123,10 +132,21 @@ def iep_edge_subsets(inst: CongruenceInstance, stats: dict | None = None) -> int
             f"2**C({k},2) edge subsets is too many; cap is k <= {EDGE_SUBSET_MAX_K}, "
             "iep_partitions counts larger k"
         )
-    signs = _edge_subset_signs(k)
-    total = sum(signed * _merged_count(inst, blocks) for blocks, signed in signs)
+    sums = [0]  # sums[S]: the sum of the coefficients indexed by the bitmask S
+    for a in inst.coeffs:
+        sums += [s + a for s in sums]
+    total = 0
+    for partitions in _edge_subset_masks(k):
+        signed_by, blocks_by = {}, {}  # per l, for this number of blocks: weights summed, a partition
+        for blocks, masks, signed in partitions:
+            ell = math.gcd(n, *map(sums.__getitem__, masks))
+            if ell in signed_by:
+                signed_by[ell] += signed
+            else:
+                signed_by[ell], blocks_by[ell] = signed, blocks
+        total += sum([signed * _merged_count(inst, blocks_by[ell]) for ell, signed in signed_by.items()])
     stats["edge_subsets"] = 2 ** math.comb(k, 2)
-    stats["partitions"] = len(signs)
+    stats["partitions"] = len(_edge_subset_signs(k))
     return total
 
 
@@ -144,6 +164,19 @@ def _edge_subset_signs(k: int) -> tuple[tuple[tuple[tuple[int, ...], ...], int],
             blocks = pattern_components(k, subset)
             signed[blocks] = signed.get(blocks, 0) + (-1) ** size
     return tuple(signed.items())
+
+
+@functools.cache
+def _edge_subset_masks(k: int) -> tuple[tuple[tuple, ...], ...]:
+    """_edge_subset_signs(k) as (blocks, block bitmasks, signed), one tuple per number of blocks.
+
+    Index i is bit i - 1 of a block's bitmask.
+    """
+    by_size: dict[int, list[tuple]] = {}
+    for blocks, signed in _edge_subset_signs(k):
+        masks = tuple(sum(1 << (i - 1) for i in block) for block in blocks)
+        by_size.setdefault(len(blocks), []).append((blocks, masks, signed))
+    return tuple(map(tuple, by_size.values()))
 
 
 def iep_partitions(inst: CongruenceInstance, stats: dict | None = None) -> int:
@@ -380,9 +413,13 @@ def brute_force_distinct(inst: CongruenceInstance, stats: dict | None = None) ->
     differ from the prefix.  unused[r], the number of values outside the
     prefix with ak * x = r mod n, is tabled once per call and updated as each
     prefix coordinate is pushed and popped; at the last prefix level each
-    free value x, with r = t - a(k-1) * x mod n, completes to unused[r] tuples
-    less one when ak * x = r itself.  So each of the n(n-1)...(n-k+1)
-    injective tuples is decided, never more than n**k.  With k = 1 there is
+    free value y, with r = t - a(k-1) * y mod n, completes to unused[r] tuples
+    less one when ak * y = r itself.  That level is folded into its parent's
+    loop, so it costs no call and no copy of the free values: for each x
+    pushed there, the completions are summed over every free y, less the y
+    with (a(k-1) + ak) * y equal to the target x leaves (tabled once per
+    parent), and less the term of y = x, taken off once.  So each of the n(n-1)...(n-k+1) injective
+    tuples is decided, never more than n**k.  With k = 1 there is
     one empty prefix and x is walked directly: n can then be as large as
     TUPLE_BUDGET, and no table of n entries is built.  Refuses
     (ResourceLimitError) when n**k exceeds TUPLE_BUDGET, read when called;
@@ -406,7 +443,6 @@ def brute_force_distinct(inst: CongruenceInstance, stats: dict | None = None) ->
         prefixes = 1
     else:
         *inner, a = head
-        depth = len(inner)
         residue = [last * x % n for x in range(n)]
         unused = [0] * n
         for r in residue:
@@ -415,19 +451,40 @@ def brute_force_distinct(inst: CongruenceInstance, stats: dict | None = None) ->
 
         def walk(level: int, t: int, free: list[int]) -> None:
             nonlocal total, prefixes
-            if level == depth:
-                prefixes += len(free)
-                for x in free:
-                    r = (t - a * x) % n
-                    total += unused[r] - (residue[x] == r)
-                return
             c = inner[level]
-            for i, x in enumerate(free):
-                unused[residue[x]] -= 1
-                walk(level + 1, (t - c * x) % n, free[:i] + free[i + 1:])
-                unused[residue[x]] += 1
+            if level < fold:
+                for i, x in enumerate(free):
+                    unused[residue[x]] -= 1
+                    walk(level + 1, (t - c * x) % n, free[:i] + free[i + 1:])
+                    unused[residue[x]] += 1
+                return
+            # the last prefix level, y, folded into the loop over x: y runs over
+            # every free value and the y = x term is taken off once per x.
+            # unused[s + v] is unused[s - a(k-1) * y mod n] by negative indexing
+            prefixes += len(free) * (len(free) - 1)
+            shifts = [-(a * y % n) for y in free]  # v, in (-n, 0]
+            diag = [0] * n  # diag[s]: the free y with ak * y = s - a(k-1) * y
+            for y in free:
+                diag[(a + last) * y % n] += 1
+            for x in free:
+                s = (t - c * x) % n
+                rx = residue[x]
+                unused[rx] -= 1
+                r = (s - a * x) % n
+                acc = (rx == r) - unused[r] - diag[s]
+                for v in shifts:
+                    acc += unused[s + v]
+                total += acc
+                unused[rx] += 1
 
-        walk(0, b, list(range(n)))
+        fold = len(inner) - 1
+        if inner:
+            walk(0, b, list(range(n)))
+        else:  # k = 2: one prefix level, with no parent to fold into
+            prefixes = n
+            for x in range(n):
+                r = (b - a * x) % n
+                total += unused[r] - (residue[x] == r)
     stats["prefixes"] = prefixes
     stats["tuples_evaluated"] = math.perm(n, k)
     return total

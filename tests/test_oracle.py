@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 from itertools import combinations, permutations, product
-from math import factorial, gcd, perm
+from math import comb, factorial, gcd, perm
 
 import pytest
 
@@ -94,37 +94,73 @@ def test_iep_edge_subsets_examples():
 
 
 def test_iep_edge_subsets_cap():
-    # the cap is checked before the per-k sign table is built or looked up
-    table = oracle._edge_subset_signs
-    before = table.cache_info()
+    # the cap is checked before the per-k sign and mask tables are built or looked up
+    tables = oracle._edge_subset_signs, oracle._edge_subset_masks
+    before = [table.cache_info() for table in tables]
     with pytest.raises(ResourceLimitError):
         iep_edge_subsets(CongruenceInstance((1,) * 6, 0, 7))
-    assert table.cache_info() == before
+    assert [table.cache_info() for table in tables] == before
     for k in range(1, oracle.EDGE_SUBSET_MAX_K + 1):
         iep_edge_subsets(CongruenceInstance((1,) * k, 0, 7))
-    assert table.cache_info().currsize <= oracle.EDGE_SUBSET_MAX_K
+    assert all(table.cache_info().currsize <= oracle.EDGE_SUBSET_MAX_K for table in tables)
 
 
 def test_iep_edge_subsets_is_zero_when_k_exceeds_n():
-    # pigeonhole answers before the cap, without walking or building a sign table
-    table = oracle._edge_subset_signs
-    before = table.cache_info()
+    # pigeonhole answers before the cap, without walking or building a sign or mask table
+    tables = oracle._edge_subset_signs, oracle._edge_subset_masks
+    before = [table.cache_info() for table in tables]
     for k, n in ((6, 5), (13, 5), (3, 2)):
         stats = {}
         assert iep_edge_subsets(CongruenceInstance((1,) * k, 0, n), stats=stats) == 0
         assert stats == {"edge_subsets": 0, "partitions": 0}
-    assert table.cache_info() == before
+    assert [table.cache_info() for table in tables] == before
 
 
-def test_iep_edge_subsets_one_lehmer_call_per_partition(monkeypatch):
+def test_iep_edge_subsets_one_lehmer_call_per_merged_gcd_key(monkeypatch):
+    # a merged count sees its partition only through l = gcd(block sums, n) and
+    # the number of blocks: one lehmer_count call per such key, and every key's
+    # summed weight is nonzero, all partitions into m blocks weighing (-1)**(k-m)
     calls = record_calls(monkeypatch, "lehmer_count", oracle)
-    coeffs, b, n = (1, 2, 2, 4, 6), 3, 8
-    stats = {}
-    assert iep_edge_subsets(CongruenceInstance(coeffs, b, n), stats=stats) == (
-        brute_distinct_histogram(coeffs, n)[b]
-    )
-    assert len(calls) <= 52  # Bell(5), against 2**10 edge subsets
-    assert stats == {"edge_subsets": 2**10, "partitions": len(calls)}
+    cases = [((1, 2, 2, 4, 6), 3, 8), ((1, 2, 3, 4, 5), 0, 12), ((0, 0, 0, 1, 1), 2, 6),
+             ((2, 4, 6, 8), 0, 12), ((3, 6, 10), 1, 30), ((5, 5), 0, 10), ((4,), 4, 6)]
+    split = 0  # the cases in which partitions of one size fall under two values of l
+    for coeffs, b, n in cases:
+        k = len(coeffs)
+        weights = {}
+        for blocks in index_partitions(k):
+            key = gcd(n, *[sum(coeffs[i - 1] for i in block) for block in blocks]), len(blocks)
+            weight = 1
+            for block in blocks:
+                weight *= (-1) ** (len(block) - 1) * factorial(len(block) - 1)
+            weights[key] = weights.get(key, 0) + weight
+        assert 0 not in weights.values(), (coeffs, n)
+        calls.clear()
+        stats = {}
+        assert iep_edge_subsets(CongruenceInstance(coeffs, b, n), stats=stats) == (
+            brute_distinct_histogram(coeffs, n)[b]
+        ), (coeffs, b, n)
+        called = sorted((gcd(*call["inst"].coeffs, n), call["inst"].k) for call in calls)
+        assert called == sorted(weights), (coeffs, b, n)
+        assert stats == {"edge_subsets": 2 ** comb(k, 2), "partitions": len(list(index_partitions(k)))}
+        split += len({size for _, size in weights}) < len(weights)
+    assert split >= 3
+
+
+def test_iep_edge_subsets_groups_the_signed_sum_over_every_partition():
+    # the grouped sum is the literal one: signed * _merged_count over all Bell(5)
+    # partitions, on seeded vectors whose block sums share many gcds with n
+    rng = random.Random("edge-subsets:grouped")
+    signs = oracle._edge_subset_signs(5)
+    for n in (8, 9, 10, 12, 30):
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        for _ in range(4):
+            coeffs = tuple(rng.choice(divisors) * rng.randrange(n) for _ in range(5))
+            for b in range(n):
+                inst = CongruenceInstance(coeffs, b, n)
+                stats = {}
+                literal = sum(signed * oracle._merged_count(inst, blocks) for blocks, signed in signs)
+                assert iep_edge_subsets(inst, stats=stats) == literal, (coeffs, b, n)
+                assert stats == {"edge_subsets": 2**10, "partitions": 52}
 
 
 def test_iep_edge_subsets_and_brute_force_match_reference_at_k5():
@@ -637,6 +673,63 @@ def test_brute_force_matches_prefix_lookup_reference():
                 assert stats == reference_stats, (coeffs, b, n)
                 checked += 1
     assert checked == 36
+
+
+def test_brute_force_matches_prefix_lookup_at_depth_zero_and_a_root_fold():
+    # k = 2 walks its one prefix level with no parent to fold into; at k = 3 the
+    # root's loop is the folded last level.  Every vector and every b, n <= 9
+    checked = 0
+    for k in (2, 3):
+        for n in range(k, 10):
+            for coeffs in product(range(n), repeat=k):
+                for b in range(n):
+                    stats = {}
+                    inst = CongruenceInstance(coeffs, b, n)
+                    count = brute_force_distinct(inst, stats=stats)
+                    assert (count, stats) == prefix_lookup_count(coeffs, b, n), (coeffs, b, n)
+                    checked += 1
+    assert checked == sum(n ** 3 for n in range(2, 10)) + sum(n ** 4 for n in range(3, 10))
+
+
+def test_brute_force_planted_diagonals():
+    # a(k-1) + ak = 0 makes the diagonal count hit every free y at one target
+    # and none at the others; ak = 0 puts every value under one residue
+    rng = random.Random("brute-diagonal")
+    for k in range(2, 7):
+        for n in range(k, 10):
+            if perm(n, k - 1) > 20_000:
+                continue
+            for plant in ("opposite", "zero"):
+                coeffs = [rng.randrange(n) for _ in range(k)]
+                if plant == "opposite":
+                    coeffs[-1] = -coeffs[-2] + n * rng.randrange(-1, 2)
+                else:
+                    coeffs[-1] = n * rng.randrange(-1, 2)
+                for b in range(n):
+                    stats = {}
+                    inst = CongruenceInstance(tuple(coeffs), b, n)
+                    count = brute_force_distinct(inst, stats=stats)
+                    assert (count, stats) == prefix_lookup_count(coeffs, b, n), (coeffs, b, n)
+
+
+def test_brute_force_at_k_equal_n():
+    # the folded level starts from three free values: x takes one, y another and
+    # the last coordinate the third; at n = 2 there is no level to fold
+    rng = random.Random("brute-k-equals-n")
+    for n in range(2, 8):
+        for _ in range(3):
+            coeffs = [rng.randrange(n) for _ in range(n)]
+            for b in range(n):
+                stats = {}
+                inst = CongruenceInstance(tuple(coeffs), b, n)
+                count = brute_force_distinct(inst, stats=stats)
+                assert (count, stats) == prefix_lookup_count(coeffs, b, n), (coeffs, b, n)
+                assert stats == {"prefixes": factorial(n), "tuples_evaluated": factorial(n)}
+                # every permutation of 0..n-1 is a tuple: the count is the sum
+                # over permutations whose weighted sum is b
+                assert count == sum(
+                    sum(a * x for a, x in zip(coeffs, xs)) % n == b for xs in permutations(range(n))
+                )
 
 
 def test_brute_force_planted_extremes():
