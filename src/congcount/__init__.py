@@ -19,13 +19,14 @@ from .congruence import (
     ConditionReport,
     check_condition,
     distinct_count_formula,
+    formula_count,
     lehmer_count,
     rademacher_brauer_count,
     schoenemann_count,
 )
 from .errors import HypothesisError, ResourceLimitError
 from .graphenum import GraphCountTable, component_counts, connected_counts
-from .methods import METHODS, auto_count, distinct_count
+from .methods import METHODS, auto_count, distinct_count, try_count
 from .oracle import (
     all_pairs,
     brute_force_distinct,

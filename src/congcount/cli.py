@@ -24,7 +24,7 @@ from time import perf_counter
 from . import graphenum
 from .congruence import CongruenceInstance, check_condition
 from .errors import HypothesisError, ResourceLimitError
-from .methods import METHODS, auto_count, distinct_count
+from .methods import METHODS, auto_count, distinct_count, try_count
 from .series import deformed_exp_truncated
 
 
@@ -125,12 +125,15 @@ def _run_compare(args) -> _Result:
     skipped: dict[str, str] = {}
     for name in METHODS:
         try:
-            results[name] = str(distinct_count(inst, name))
-        except HypothesisError:
-            skipped[name] = "hypothesis fails"
+            value = try_count(inst, name)
         except ResourceLimitError:
             # the formula's only refusal is its subset scan
             skipped[name] = "subset cap exceeded" if name == "formula" else "resource cap exceeded"
+        else:
+            if value is None:
+                skipped[name] = "hypothesis fails"
+            else:
+                results[name] = str(value)
     if len(results) < 2:  # nothing to compare
         answered = f"only {next(iter(results))}" if results else "no method"
         reasons = ", ".join(f"{name}: {reason}" for name, reason in skipped.items())

@@ -6,7 +6,8 @@ Four counters live here:
                          l = gcd(a1, ..., ak, n) divides b, else 0.
 * distinct_count_formula -- pairwise-distinct coordinates, in closed form,
                          valid when every nonempty proper subset of the
-                         coefficients sums to a unit mod n.
+                         coefficients sums to a unit mod n (formula_count:
+                         the same, or None where that fails).
 * schoenemann_count   -- the classical prime special case (b = 0, n = p,
                          coefficient sum divisible by p).
 * rademacher_brauer_count -- unit coefficients, every coordinate coprime
@@ -16,21 +17,28 @@ check_condition decides the subset-sum gcd hypothesis and reports the first
 failing subset, smallest size first, then lexicographically.  A subset sum is
 a non-unit exactly when a prime p | n divides it, so for each prime a
 subset-sum DP over residues mod p finds the first zero-sum subset.  It
-decides first and explains only on failure: one p-bit mask of reachable
-residues, one rotation per coefficient, says whether any zero-sum subset
-exists, and only then is the table of masks per subset size (polynomial in
-k and p) built to pick the first one.  Each prime whose DP table fits in
-2**SUBSET_CAP bits gets the DP: a prime p >= k when p <= reach =
-2**SUBSET_CAP // (k+1)**2, and a prime p < k, whose table holds only
-(k+1)(p+1) masks of p bits, when those bits fit.  Trial division
-(arith.factor_partially, which tries its odd candidates as C-level ranges)
-tries no more candidates than it takes to find all of them (nor more than
-2**k, the scan's own size).  A prime factor of n left without a DP, found
-past reach or left in an unfactored cofactor, sends the subsets to a scan
-too, only those ordered before the DP primes' first witness if they found
-one, and at most 2**SUBSET_CAP of them.
+decides first and explains only on failure.  The decision (_decide) is trial
+division, then one p-bit mask of reachable residues per DP prime (one
+rotation per coefficient), which says whether any zero-sum subset exists,
+then the scan for a prime left without a DP.  The explanation is the table
+of masks per subset size (polynomial in k and p) for each prime whose mask
+found a zero sum, which picks that prime's first subset, and the minimum
+over the primes.  Each prime whose DP table fits in 2**SUBSET_CAP bits gets
+the DP: a prime p >= k when p <= reach = 2**SUBSET_CAP // (k+1)**2, and a
+prime p < k, whose table holds only (k+1)(p+1) masks of p bits, when those
+bits fit.  Trial division (arith.factor_partially, which tries its odd
+candidates as C-level ranges) tries no more candidates than it takes to find
+all of them, nor more than k * 2**k: one scanned subset costs about k trial
+candidates.  A prime factor of n left without a DP, found past reach or left
+in an unfactored cofactor, sends the subsets to a scan too, only those
+ordered before the DP primes' first witness if they found one, and at most
+2**SUBSET_CAP of them; the decision then builds that witness itself.
+
 distinct_count_formula refuses to answer when the condition fails, since no
-closed form is claimed in that regime (the oracle module still counts).
+closed form is claimed in that regime (the oracle module still counts): it
+decides once and explains only when it refuses.  formula_count, the closed
+form that the CLI's default count and oracle-compare take, returns None there
+instead; it only decides, so it never builds a failing subset.
 """
 
 import itertools
@@ -109,36 +117,58 @@ def check_condition(inst: CongruenceInstance) -> ConditionReport:
     A sum is a non-unit exactly when some prime p | n divides it, so each
     prime p | n that trial division finds with p <= reach = 2**SUBSET_CAP //
     (k+1)**2, or with p < k and (k+1) * (p+1) * p <= 2**SUBSET_CAP, gets a
-    subset-sum DP over residues mod p (see _first_zero_sum_subset): one
-    p-bit mask decides whether p divides some subset sum, and only then does
-    a table of at most 2**SUBSET_CAP bits pick the first such subset.
-    SUBSET_CAP is read when called.  Trial division tries
-    min(2**k, max(reach, k)) candidate divisors: never more steps than the
-    scan, and no more than it takes to find every prime up to reach and
-    below k.  A prime factor of n left without a DP, found past reach or in
-    an unfactored cofactor, is decided by the subset scan: only the subsets
-    before the first DP witness, if there is one, else all 2**k - 2; a scan
-    of more than 2**SUBSET_CAP subsets raises ResourceLimitError.
+    subset-sum DP over residues mod p: one p-bit mask decides whether p
+    divides some subset sum (_has_zero_sum_subset), and only then does a
+    table of at most 2**SUBSET_CAP bits pick the first such subset
+    (_first_zero_sum_subset).  SUBSET_CAP is read when called.  Trial
+    division tries min(k * 2**k, max(reach, k)) candidate divisors, counting
+    a scanned subset as k candidates: no more than it takes to find every
+    prime up to reach and below k.  A prime factor of n left without a DP,
+    found past reach or in an unfactored cofactor, is decided by the subset
+    scan: only the subsets before the first DP witness, if there is one,
+    else all 2**k - 2; a scan of more than 2**SUBSET_CAP subsets raises
+    ResourceLimitError.
 
     The reported failing subset is the first by size, then lexicographically,
     on either route.  For k = 1 the condition is vacuously true.
     """
-    k, n = inst.k, inst.n
-    ell = math.gcd(sum(inst.coeffs), n)
-    divides_b = inst.b % ell == 0
+    return _report(inst, _decide(inst.coeffs, inst.n))
+
+
+def _report(inst: CongruenceInstance, decision) -> ConditionReport:
+    """A decision explained: the scan's failing subset, else the DP primes' first witness."""
+    zero_primes, failing = decision
+    failing = failing or _first_dp_witness(inst.coeffs, zero_primes)
+    ell = math.gcd(sum(inst.coeffs), inst.n)
+    return ConditionReport(failing is None, failing, ell, inst.b % ell == 0)
+
+
+def _decide(coeffs, n: int) -> tuple[list[int], tuple[int, ...] | None]:
+    """Decide the condition without explaining it: (zero_primes, failing).
+
+    zero_primes are the DP primes that divide some nonempty proper subset
+    sum.  failing is None unless a prime was left to the scan; then the DP
+    primes' first witness is built to bound the scan, and failing is the
+    scan's answer, the first failing subset.  The condition holds exactly
+    when the result is ([], None).
+    """
+    k = len(coeffs)
     reach = (1 << SUBSET_CAP) // (k + 1) ** 2
-    # reach <= 2**SUBSET_CAP and k < 2**k: this is min(2**k, max(reach, k))
-    pairs, rest = factor_partially(n, max(min(1 << min(k, SUBSET_CAP), reach), k))
+    # reach <= 2**SUBSET_CAP <= k << SUBSET_CAP: this is max(min(k * 2**k, reach), k)
+    pairs, rest = factor_partially(n, max(min(k << min(k, SUBSET_CAP), reach), k))
     primes = [  # a prime p < k needs only (k+1) * (p+1) masks of p bits
         p for p, _ in pairs if p <= reach or p < k and (k + 1) * (p + 1) * p <= 1 << SUBSET_CAP
     ]
-    witnesses = [_first_zero_sum_subset(inst.coeffs, p) for p in primes]
-    failing = min(
-        (w for w in witnesses if w is not None), key=lambda w: (len(w), w), default=None
-    )
-    if rest > 1 or len(primes) < len(pairs):
-        failing = _scan_failing_subset(inst.coeffs, n, failing)
-    return ConditionReport(failing is None, failing, ell, divides_b)
+    zero_primes = [p for p in primes if _has_zero_sum_subset(coeffs, p)]
+    if rest == 1 and len(primes) == len(pairs):
+        return zero_primes, None
+    return zero_primes, _scan_failing_subset(coeffs, n, _first_dp_witness(coeffs, zero_primes))
+
+
+def _first_dp_witness(coeffs, primes) -> tuple[int, ...] | None:
+    """The first by size, then lexicographically, of each prime's first zero-sum subset."""
+    witnesses = (_first_zero_sum_subset(coeffs, p) for p in primes)
+    return min(witnesses, key=lambda w: (len(w), w), default=None)
 
 
 def _scan_failing_subset(coeffs, n: int, before=None) -> tuple[int, ...] | None:
@@ -173,31 +203,36 @@ def _subset_rank(k: int, subset: tuple[int, ...]) -> int:
     return sum(math.comb(k, s) for s in range(1, size + 1)) - 1 - after
 
 
-def _first_zero_sum_subset(coeffs, p: int) -> tuple[int, ...] | None:
-    """First (by size, then lexicographically) nonempty proper subset summing to 0 mod p.
+def _has_zero_sum_subset(coeffs, p: int) -> bool:
+    """Whether some nonempty proper subset of coeffs sums to 0 mod p.
 
-    Decided first, explained only when a witness exists.  A nonempty proper
-    subset sums to 0 exactly when some nonempty subset of coeffs[:-1] sums to
-    0 or to the full sum (its complement then holds the last index and sums to
-    0), so one p-bit mask of the residues the nonempty subsets of coeffs[:-1]
-    reach, one rotation per coefficient, decides it.
-
-    For the witness, suf[i][s] is a p-bit mask of the residues that size-s
-    subsets of coeffs[i:] reach; adding coefficient a rotates a mask by a.
-    Sizes stop at top = min(k-1, p): among any p coefficients some nonempty
-    subset sums to 0 mod p (pigeonhole on prefix sums), so no first failing
-    subset is larger, and with p < k the mask always finds one.  The subset
-    is built greedily, taking each index whose inclusion still lets the
-    later indices complete a zero sum of the chosen size.
+    A nonempty proper subset sums to 0 exactly when some nonempty subset of
+    coeffs[:-1] sums to 0 or to the full sum (its complement then holds the
+    last index and sums to 0), so one p-bit mask of the residues the
+    nonempty subsets of coeffs[:-1] reach, one rotation per coefficient,
+    decides it.
     """
-    k = len(coeffs)
     mask = (1 << p) - 1
     sums = 0  # bit r: some nonempty subset of the coefficients so far sums to r
     for a in coeffs[:-1]:
         shifted = (sums | 1) << (a % p)  # each sum so far, and the empty sum, plus a
         sums |= (shifted | shifted >> p) & mask
-    if not sums & (1 | 1 << (sum(coeffs) % p)):
-        return None
+    return bool(sums & (1 | 1 << (sum(coeffs) % p)))
+
+
+def _first_zero_sum_subset(coeffs, p: int) -> tuple[int, ...] | None:
+    """First (by size, then lexicographically) nonempty proper subset summing to 0 mod p.
+
+    None when there is none.  suf[i][s] is a p-bit mask of the residues that
+    size-s subsets of coeffs[i:] reach; adding coefficient a rotates a mask
+    by a.  Sizes stop at top = min(k-1, p): among any p coefficients some
+    nonempty subset sums to 0 mod p (pigeonhole on prefix sums), so no first
+    failing subset is larger, and with p < k the table always finds one.
+    The subset is built greedily, taking each index whose inclusion still
+    lets the later indices complete a zero sum of the chosen size.
+    """
+    k = len(coeffs)
+    mask = (1 << p) - 1
     top = min(k - 1, p)
     suf = [None] * (k + 1)
     suf[k] = row = [1] + [0] * top
@@ -207,7 +242,9 @@ def _first_zero_sum_subset(coeffs, p: int) -> tuple[int, ...] | None:
             row[s] | ((row[s - 1] << a | row[s - 1] >> (p - a)) & mask) for s in range(1, top + 1)
         ]
         suf[i] = row
-    size = next(s for s in range(1, top + 1) if suf[0][s] & 1)  # a witness exists
+    size = next((s for s in range(1, top + 1) if suf[0][s] & 1), None)
+    if size is None:
+        return None
     subset = []
     residue = 0  # what the indices still to be chosen must sum to, mod p
     for i in range(k):
@@ -224,26 +261,42 @@ def _first_zero_sum_subset(coeffs, p: int) -> tuple[int, ...] | None:
 def distinct_count_formula(inst: CongruenceInstance) -> int:
     """Closed-form count of solutions with pairwise-distinct coordinates.
 
-    Requires the subset-sum gcd condition (enforced).  With
-    l = gcd(a1 + ... + ak, n), P = (n-1)(n-2)...(n-k+1) and [l | b] equal
-    to 1 when l divides b, else 0:
+    Requires the subset-sum gcd condition (enforced: HypothesisError carries
+    check_condition's report).  With l = gcd(a1 + ... + ak, n),
+    P = (n-1)(n-2)...(n-k+1) and [l | b] equal to 1 when l divides b, else 0:
 
         count = P + (-1)**(k-1) * (k-1)! * (l * [l | b] - 1)
 
     where l * [l | b] is Lehmer's count of the congruence with every
     coefficient merged into one variable.
     """
-    report = check_condition(inst)
-    if not report.holds:
+    decision = _decide(inst.coeffs, inst.n)
+    if decision != ([], None):
+        report = _report(inst, decision)
         subset = ", ".join(map(str, report.failing_subset))  # in index order, as check prints it
         raise HypothesisError(
             f"subset-sum gcd condition fails: coefficient subset {{{subset}}} sums to a "
             f"non-unit mod {inst.n}",
             report,
         )
-    k = inst.k
-    merged = report.full_sum_gcd * report.divides_b
-    value = falling_factorial(inst.n, k) + (-1) ** (k - 1) * math.factorial(k - 1) * (merged - 1)
+    return _closed_form(inst)
+
+
+def formula_count(inst: CongruenceInstance) -> int | None:
+    """distinct_count_formula's value, or None where the subset-sum gcd condition fails.
+
+    Only decides the condition and never builds a failing subset; a subset
+    scan over budget raises ResourceLimitError, as check_condition does.
+    """
+    return _closed_form(inst) if _decide(inst.coeffs, inst.n) == ([], None) else None
+
+
+def _closed_form(inst: CongruenceInstance) -> int:
+    """The paper's count, for an instance whose subset-sum gcd condition holds."""
+    k, n = inst.k, inst.n
+    ell = math.gcd(sum(inst.coeffs), n)
+    merged = ell * (inst.b % ell == 0)
+    value = falling_factorial(n, k) + (-1) ** (k - 1) * math.factorial(k - 1) * (merged - 1)
     if value < 0:
         raise AssertionError(f"negative count {value} for {inst}")
     return value

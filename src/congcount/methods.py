@@ -1,13 +1,15 @@
 """The method registry: the names a count can be asked for, and the default route.
 
 distinct_count maps each name in METHODS to its counter, the closed form in
-the congruence module or a ground truth in the oracle module; auto_count picks
-the route the CLI uses by default.  Counters are looked up through their
-modules when called, so a counter rebound there is the one that runs.
+the congruence module or a ground truth in the oracle module; try_count is the
+same map with None where the closed form's condition fails, which it decides
+without building a failing subset; auto_count picks the route the CLI uses by
+default.  Counters are looked up through their modules when called, so a
+counter rebound there is the one that runs.
 """
 
 from . import congruence, oracle
-from .errors import HypothesisError, ResourceLimitError
+from .errors import ResourceLimitError
 
 _COUNTERS = {
     "formula": lambda inst: congruence.distinct_count_formula(inst),
@@ -29,6 +31,17 @@ def distinct_count(inst: congruence.CongruenceInstance, method: str) -> int:
     return _COUNTERS[method](inst)
 
 
+def try_count(inst: congruence.CongruenceInstance, method: str) -> int | None:
+    """distinct_count, or None where the formula's subset-sum gcd condition fails.
+
+    The formula's None comes from congruence.formula_count, which decides the
+    condition and builds no failing subset.
+    """
+    if method == "formula":
+        return congruence.formula_count(inst)
+    return distinct_count(inst, method)
+
+
 def auto_count(inst: congruence.CongruenceInstance) -> tuple[int, str]:
     """Count by the first route that answers; returns (count, method name).
 
@@ -39,6 +52,9 @@ def auto_count(inst: congruence.CongruenceInstance) -> tuple[int, str]:
     if inst.k > inst.n:
         return 0, "pigeonhole"
     try:
-        return congruence.distinct_count_formula(inst), "formula"
-    except (HypothesisError, ResourceLimitError):
+        value = try_count(inst, "formula")
+    except ResourceLimitError:
+        value = None
+    if value is None:
         return distinct_count(inst, "iep-partitions"), "iep-partitions"
+    return value, "formula"

@@ -736,10 +736,52 @@ def test_exact_numbers_past_the_int_string_limit(capsys):
 
 
 def test_auto_count_scans_condition_once(capsys, monkeypatch):
-    calls = record_calls(monkeypatch, "check_condition", congruence, cli)
-    code, out, err = run_cli(capsys, ["count", "--n", "5", "--b", "0", "--coeffs", "1,1,3"])
-    assert (code, out, err) == (0, "20\n", "method: formula\n")
-    assert len(calls) == 1
+    # one decision of the condition per call, whether it holds or fails, and no
+    # report: the auto route and compare never call check_condition
+    decisions = record_calls(monkeypatch, "_decide", congruence)
+    checks = record_calls(monkeypatch, "check_condition", congruence, cli)
+    for command, expected in (
+        ("count --n 5 --b 0 --coeffs 1,1,3", (0, "20\n", "method: formula\n")),
+        ("count --n 4 --b 0 --coeffs 2,2", (0, "4\n", "method: iep-partitions\n")),
+        ("count --n 4 --b 0 --coeffs 2,2 --method formula", (3, "", "error: precondition: "
+            "subset-sum gcd condition fails: coefficient subset {1} sums to a non-unit mod 4\n")),
+        ("oracle-compare --n 4 --b 0 --coeffs 2,2", (0, "formula         skipped (hypothesis "
+            "fails)\niep-edges       4\niep-partitions  4\nbrute           4\nagreement: yes\n", "")),
+    ):
+        decisions.clear()
+        assert run_cli(capsys, command.split()) == expected, command
+        assert len(decisions) == 1, command
+    assert checks == []
+
+
+def test_auto_count_and_compare_build_no_failing_subset(capsys, monkeypatch):
+    # 186 = 2 * 3 * 31 and the second coefficient is even: the first failing subset is {2}
+    instance = "--n 186 --b 0 --coeffs 107,10,66,130,124,103".split()
+    refusal = (
+        "error: precondition: subset-sum gcd condition fails: coefficient subset {2} sums "
+        "to a non-unit mod 186\n"
+    )
+    assert run_cli(capsys, ["count", *instance, "--method", "formula"]) == (3, "", refusal)
+    report = "holds: false\nfailing_subset: {2}\nfull_sum_gcd: 6\ndivides_b: true\n"
+    assert run_cli(capsys, ["check", *instance]) == (0, report, "")
+    fallback = (0, "204096380472\n", "method: iep-partitions\n")
+    assert run_cli(capsys, ["count", *instance, "--method", "iep-partitions"]) == fallback
+    compare = [
+        ["oracle-compare", *instance],
+        "oracle-compare --n 9 --b 4 --coeffs 1,2,3,5,7".split(),
+    ]
+    compared = [run_cli(capsys, argv) for argv in compare]
+
+    def refuse(coeffs, p):
+        raise AssertionError("a failing subset was built")
+
+    monkeypatch.setattr(congruence, "_first_zero_sum_subset", refuse)
+    assert run_cli(capsys, ["count", *instance]) == fallback
+    assert [run_cli(capsys, argv) for argv in compare] == compared
+    # the refusal and check do build it
+    for argv in (["count", *instance, "--method", "formula"], ["check", *instance]):
+        with pytest.raises(AssertionError, match="failing subset was built"):
+            cli.main(argv)
 
 
 def test_count_auto_falls_back_when_condition_check_is_over_budget(capsys):

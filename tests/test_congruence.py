@@ -3,7 +3,7 @@ import pickle
 import random
 import re
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import gcd, perm
 
 import pytest
@@ -187,9 +187,11 @@ def test_check_condition_matches_subset_scan_random_wide():
 def test_check_condition_route_rule(monkeypatch):
     scanned = record_calls(monkeypatch, "_scan_failing_subset", congruence)
     cases = [
-        # (coeffs, n, scanned): k = 3 tries 8 divisors, which miss 37 in 37 * 41
+        # (coeffs, n, scanned): k = 3 tries 3 * 2**3 = 24 divisors, up to 47,
+        # which find 37 and 41 in 37 * 41 and miss 53 in 53 * 59
         ((1, 2, 4), 37, False),
-        ((1, 2, 4), 37 * 41, True),
+        ((1, 2, 4), 37 * 41, False),
+        ((1, 2, 4), 53 * 59, True),
         # k = 25: the DP needs 26**2 * p <= 2**24, i.e. p <= 24818
         ((1, 24808) + (1,) * 23, 24809, False),
         ((1, 24820) + (1,) * 23, 24821, True),
@@ -250,12 +252,12 @@ def test_check_condition_runs_the_dp_for_primes_found_before_an_unfactored_cofac
     # division finds the primes of s and leaves q * r; those primes still get
     # the residue DP, and the scan stops at its witness
     first_zero_sum = congruence._first_zero_sum_subset
-    dp_calls = record_calls(monkeypatch, "_first_zero_sum_subset", congruence)
+    dp_calls = record_calls(monkeypatch, "_has_zero_sum_subset", congruence)
     scans = record_calls(monkeypatch, "_scan_failing_subset", congruence)
     rng = random.Random(5)
     for k in range(2, 10):
-        # 2**k candidates reach no further than 2**(k+1) + 1
-        lo, hi = 2 ** (k + 2), 2 ** (k + 3)
+        # k * 2**k candidates reach no further than k * 2**(k+1) - 1
+        lo, hi = k * 2 ** (k + 2), k * 2 ** (k + 3)
         for _ in range(30):
             q, r = _random_prime(rng, lo, hi), _random_prime(rng, lo, hi)
             s = rng.choice((1, 2, 3, 5, 6, 7, 10, 12, 30))
@@ -315,11 +317,12 @@ def test_first_zero_sum_subset_matches_the_scan_wide():
             assert congruence._first_zero_sum_subset(head + [rng.randint(1, 3)], p) is None
 
 
-@pytest.mark.parametrize("k, trials", [(3, 8), (16, 58052), (17, 51781), (25, 24818)])
+@pytest.mark.parametrize("k, trials", [(3, 24), (16, 58052), (17, 51781), (25, 24818)])
 def test_check_condition_trial_budget_is_the_dp_reach(monkeypatch, k, trials):
-    # min(2**k, reach) candidates, reach = 2**24 // (k+1)**2 the largest prime
-    # the residue DP takes: the DP's reach bounds trial division from k = 16 on
-    assert trials == min(2**k, 2**congruence.SUBSET_CAP // (k + 1) ** 2)
+    # min(k * 2**k, reach) candidates, one scanned subset counted as k of
+    # them, with reach = 2**24 // (k+1)**2 the largest prime the residue DP
+    # takes: the DP's reach bounds trial division from k = 14 on
+    assert trials == min(k * 2**k, 2**congruence.SUBSET_CAP // (k + 1) ** 2)
     calls = record_calls(monkeypatch, "factor_partially", congruence)
     assert check_condition(CongruenceInstance((1,) * k, 0, 101)).holds == (k < 101)
     assert [call["max_trials"] for call in calls] == [trials]
@@ -386,6 +389,63 @@ def test_check_condition_matches_subset_scan_at_the_dp_reach(k):
         b = rng.randrange(n)
         rep = check_condition(CongruenceInstance(coeffs, b, n))
         assert _report_tuple(rep) == reference_condition(tuple(coeffs), b, n), (coeffs, n)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_verdict_matches_check_condition_exhaustively(k):
+    # The decision alone (no failing subset built) against check_condition's
+    # holds, and formula_count against distinct_count_formula: every residue
+    # vector mod n <= 12 for k <= 4.  At k = 5, every sorted head with every
+    # last coefficient: the decision reads the head only through the residues
+    # its subsets reach, and holds is the same for every order of the vector.
+    for n in range(1, 13):
+        if k < 5:
+            heads = product(range(n), repeat=k - 1)
+        else:
+            heads = combinations_with_replacement(range(n), k - 1)
+        for head in heads:
+            for last in range(n):
+                coeffs = head + (last,)
+                inst = CongruenceInstance(coeffs, 7 % n, n)
+                holds = check_condition(inst).holds
+                assert (congruence._decide(coeffs, n) == ([], None)) == holds, (coeffs, n)
+                value = congruence.formula_count(inst)
+                assert value == (distinct_count_formula(inst) if holds else None), (coeffs, n)
+
+
+def test_verdict_matches_check_condition_on_the_scan_route(monkeypatch):
+    # SUBSET_CAP = 7: k = 6..9 tries at most 9 trial divisors, up to 17, and
+    # the DP takes 2, and 3 from k = 8; a prime q in [400, 1000] stays in the
+    # unfactored cofactor (19**2 <= q), so every instance with q scans.  Past
+    # 2**7 subsets (k >= 8 with no DP witness to stop at) the scan is
+    # refused, and the decision and check_condition refuse the same instances.
+    monkeypatch.setattr(congruence, "SUBSET_CAP", 7)
+    scans = record_calls(monkeypatch, "_scan_failing_subset", congruence)
+    rng = random.Random("verdict-scan")
+    outcomes = []
+    for k in range(6, 10):
+        for _ in range(60):
+            q = _random_prime(rng, 400, 1000)
+            n = q * rng.choice((1, 2, 3, 5, 6, 7, 10))
+            coeffs = tuple(rng.choice((rng.randrange(n), 1, 2, q)) for _ in range(k))
+            inst = CongruenceInstance(coeffs, 0, n)
+            results = []
+            for decide in (
+                lambda: congruence._decide(coeffs, n) == ([], None),
+                lambda: check_condition(inst).holds,
+                lambda: congruence.formula_count(inst) is not None,
+            ):
+                scans.clear()
+                try:
+                    results.append(decide())
+                except ResourceLimitError:
+                    results.append("refused")
+                assert len(scans) == 1, (coeffs, n)
+            assert results[1:] == results[:-1], (coeffs, n, results)
+            if results[0] != "refused":
+                assert results[0] == reference_condition(coeffs, 0, n)[0], (coeffs, n)
+            outcomes.append(results[0])
+    assert set(outcomes) == {True, False, "refused"}
 
 
 def test_formula_examples():
