@@ -31,7 +31,10 @@ Three independent routes, all exact:
                           n: a subset DP (O(3**k)), or a DP over compositions
                           of the residue classes mod d (polynomial in k for a
                           fixed number of classes), whichever plans fewer
-                          steps.
+                          steps.  A d whose classes lie in {0, r}, every
+                          d = 2 among them, needs no DP: the exponential
+                          formula over n log(1 + t) gives its sum in closed
+                          form, at any k.
 
 None of these require anything of the coefficients, so together they cover
 instances the closed form refuses.
@@ -197,25 +200,28 @@ def iep_partitions(inst: CongruenceInstance, stats: dict | None = None) -> int:
     coefficients' residue classes mod L, m'_r of them in class r, so there
     are at most prod (m'_r + 1) of them, a number planned before they are
     built.  C's least element is G = gcd(a1, ..., ak, n), with
-    Z_G = n(n-1)...(n-k+1); every other d in C with h(d) != 0 runs one DP
-    over the block weights of Z_d, whichever plans the fewer steps: the
-    subset DP (_partition_sum), (3**k + 1) // 2 steps over a table built from
-    the 2**k subset sums, or the DP over compositions of the residue classes
-    mod d (_class_partition_sum), its _class_plan steps weighted by
+    Z_G = n(n-1)...(n-k+1).  Every other d in C with h(d) != 0 whose
+    residue classes mod d lie in {0, r} takes the closed form
+    (_two_class_partition_sum), planned at one step; each of the rest runs
+    one DP over the block weights of Z_d, whichever plans the fewer steps:
+    the subset DP (_partition_sum), (3**k + 1) // 2 steps over a table built
+    from the 2**k subset sums, or the DP over compositions of the residue
+    classes mod d (_class_partition_sum), its _class_plan steps weighted by
     CLASS_STEP_COST.  A step on table entries of about
     k * (bits of n + bits of k) bits counts 1 + that // STEP_BITS times.
     k > n, or G not dividing b, short-circuits to 0.  Refuses
     (ResourceLimitError), before any DP runs, when the subset sums mod L, the
-    gcds that build C with the divisibility tests that solve h, or the chosen
-    DPs exceed PARTITION_STEP_BUDGET.  When no two classes mod L meet mod any
-    d above G, every DP costs what one mod L does, and one over the budget
-    is refused before the sums are built.  When a dict is passed as stats,
-    the DP runs are recorded under "divisors" and their steps under
-    "dp_steps".
+    gcds that build C with the divisibility tests that solve h, or the
+    planned evaluations exceed PARTITION_STEP_BUDGET.  When three or more
+    classes mod L meet pairwise mod no d above G, no d takes the closed
+    form and every DP costs what one mod L does, so one over the budget is
+    refused before the sums are built.  When a dict is passed as stats, the
+    divisors evaluated are recorded under "divisors", those of them taken in
+    closed form under "closed_forms", and the DPs' steps under "dp_steps".
     """
     stats = {} if stats is None else stats
     k, n, b = inst.k, inst.n, inst.b
-    stats["divisors"] = stats["dp_steps"] = 0
+    stats["divisors"] = stats["closed_forms"] = stats["dp_steps"] = 0
     if k > n:
         return 0
     ell = math.gcd(sum(inst.coeffs), n)
@@ -236,10 +242,11 @@ def iep_partitions(inst: CongruenceInstance, stats: dict | None = None) -> int:
         )
     per_dp = (3 ** k + 1) // 2
     size = 1 + k * (n.bit_length() + k.bit_length()) // STEP_BITS
-    if per_dp * size > PARTITION_STEP_BUDGET and all(
+    if len(mults) > 2 and per_dp * size > PARTITION_STEP_BUDGET and all(
         math.gcd(r - s, ell) == common for r, s in itertools.combinations(mults, 2)
     ):
-        # a class mod d for d | L above G is then a class mod L
+        # a class mod d for d | L above G is then a class mod L, so no d has
+        # its classes in {0, r}
         one_dp = min(per_dp, CLASS_STEP_COST * _class_plan(mults.values())) * size
         if one_dp > PARTITION_STEP_BUDGET:
             raise ResourceLimitError(
@@ -264,19 +271,22 @@ def iep_partitions(inst: CongruenceInstance, stats: dict | None = None) -> int:
         weights[m] = m * (b % m == 0) - sum([h for d, h in weights.items() if m % d == 0])
     # a class DP can plan fewer steps only if one class of all k coefficients would
     class_dps = CLASS_STEP_COST * (k + k * (k + 1) // 2) < per_dp
-    plans, planned = [], 0
+    plans, planned = [], 0  # plans: (d, h(d), kernel, classes mod d)
     for d, h in weights.items():
         if h and d != common:
-            classes, cost = None, per_dp
-            if class_dps:
-                by_class = {}
-                for r, m in mults.items():
-                    r %= d
-                    by_class[r] = by_class.get(r, 0) + m
-                class_cost = CLASS_STEP_COST * _class_plan(by_class.values())
-                if class_cost < per_dp:
-                    classes, cost = by_class, class_cost
-            plans.append((d, h, classes))
+            by_class = {}
+            for r, m in mults.items():
+                r %= d
+                by_class[r] = by_class.get(r, 0) + m
+            if len(by_class) - (0 in by_class) == 1:  # d above G leaves a nonzero class
+                kernel, cost = _two_class_partition_sum, 1
+            else:
+                kernel, cost = _partition_sum, per_dp
+                if class_dps:
+                    class_cost = CLASS_STEP_COST * _class_plan(by_class.values())
+                    if class_cost < per_dp:
+                        kernel, cost = _class_partition_sum, class_cost
+            plans.append((d, h, kernel, by_class))
             planned += cost * size
     if planned > PARTITION_STEP_BUDGET:
         raise ResourceLimitError(
@@ -288,8 +298,11 @@ def iep_partitions(inst: CongruenceInstance, stats: dict | None = None) -> int:
         row.append(-s * row[-1])
     total = n * lone
     subset_sums = None
-    for d, h, classes in plans:
-        if classes is not None:
+    for d, h, kernel, classes in plans:
+        if kernel is _two_class_partition_sum:
+            z, steps = _two_class_partition_sum(classes.items(), d, n), 0
+            stats["closed_forms"] += 1
+        elif kernel is _class_partition_sum:
             z, steps = _class_partition_sum(classes.items(), d, row)
         else:
             if subset_sums is None:  # d divides L, so the sums need no reduction
@@ -304,6 +317,38 @@ def iep_partitions(inst: CongruenceInstance, stats: dict | None = None) -> int:
     if total % n:
         raise AssertionError(f"partition sum {total} is not a multiple of n for {inst}")
     return total // n
+
+
+def _two_class_partition_sum(classes, d: int, n: int) -> int:
+    """Z_d in closed form when the residue classes mod d lie in {0, r}, d dividing n.
+
+    classes lists (r, m) pairs, as for _class_partition_sum, with at most
+    one r nonzero mod d: m0 elements are 0 mod d and m1 are r.  A block of
+    beta0 elements of class 0 and beta1 of class r has its sum divisible by
+    d exactly when e = d / gcd(r, d) divides beta1, and it weighs
+    (-1)**(s-1) (s-1)! n = s! [t**s] n log(1 + t), s = beta0 + beta1.  By
+    the exponential formula Z_d is m0! m1! [x**m0 y**m1] exp(F), with F the
+    part of n log(1 + x + y) whose y-degree e divides.  Filtering by the
+    e-th roots of unity w,
+
+        F = (n / e) * sum over w of log(1 + x + w y),
+        exp(F) = (prod over w of (1 + x + w y))**(n/e) = ((1 + x)**e - (-y)**e)**(n/e),
+
+    so Z_d = m0! m1! (-1)**(j(e+1)) C(n/e, j) C(n - m1, m0) when m1 = j e,
+    and 0 when e does not divide m1.
+    """
+    m0 = m1 = 0
+    e = 1
+    for r, m in classes:
+        if r % d:
+            m1, e = m, d // math.gcd(r, d)
+        else:
+            m0 = m
+    j, rest = divmod(m1, e)
+    if rest or m1 > n:
+        return 0
+    z = math.perm(n - m1, m0) * math.factorial(m1) * math.comb(n // e, j)
+    return -z if j * (e + 1) % 2 else z
 
 
 def _partition_sum(wt) -> tuple[int, int]:

@@ -20,6 +20,7 @@ from support import (
     connected_graph_totals,
     record_calls,
     reference_graph_tables,
+    two_class_partition_sum,
 )
 
 
@@ -793,6 +794,22 @@ def test_count_auto_falls_back_when_condition_check_is_over_budget(capsys):
     code, out, err = run_cli(capsys, argv)
     assert (code, out, err) == (0, expected, "method: iep-partitions\n")
     assert int(out) > 0
+
+
+def test_count_answers_parity_instances_past_the_class_dp(capsys):
+    # k/2 ones and k/2 twos mod 2000006 = 2 * 1000003: L = 2, and d = 2 takes the
+    # closed form, so k = 120 and 400 answer in well under a second each; a
+    # class DP over 61 * 61 compositions at k = 120 was refused before.  The
+    # count is (n(n-1)...(n-k+1) + Z_2) / n, Z_2 from the test oracle
+    n = 2000006
+    for k in (120, 400):
+        argv = ["count", "--n", str(n), "--b", "0", "--coeffs", ",".join(["1", "2"] * (k // 2))]
+        total = perm(n, k) + two_class_partition_sum(k // 2, k // 2, n)
+        expected = (0, f"{total // n}\n", "method: iep-partitions\n")
+        for method in ([], ["--method", "iep-partitions"]):
+            start = time.perf_counter()
+            assert run_cli(capsys, argv + method) == expected, (k, method)
+            assert time.perf_counter() - start < 1.0, (k, method)
 
 
 # Registered last, so that a row named like a test defined above fails here instead of hiding it.

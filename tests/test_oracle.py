@@ -204,7 +204,7 @@ def test_iep_partitions_examples():
     # (3**20 + 1) // 2 steps would already be refused
     stats = {}
     assert iep_partitions(CongruenceInstance((1,) * 19 + (5,), 0, 6), stats=stats) == 0
-    assert stats == {"divisors": 0, "dp_steps": 0}
+    assert stats == {"divisors": 0, "closed_forms": 0, "dp_steps": 0}
 
 
 def _class_steps(counts):
@@ -226,11 +226,13 @@ def _class_steps(counts):
 
 def test_iep_partitions_cap(monkeypatch):
     # each d in the gcd-closure C of the subset sums mod L = gcd(sum, n) with
-    # h(d) != 0, other than its least element G, plans the cheaper of a
-    # subset DP, (3**k + 1) // 2 steps, and a class DP, CLASS_STEP_COST steps
-    # per state and per block over the classes mod d in order of first
-    # appearance; here C is every divisor of L and b = 0 keeps every h(d)
-    # nonzero.  The plans are summed and weighted by the size of the numbers
+    # h(d) != 0, other than its least element G, plans one step when its
+    # classes lie in {0, r} (the closed form; d = 2 here), and otherwise the
+    # cheaper of a subset DP, (3**k + 1) // 2 steps, and a class DP,
+    # CLASS_STEP_COST steps per state and per block over the classes mod d in
+    # order of first appearance; here C is every divisor of L and b = 0 keeps
+    # every h(d) nonzero.  The plans are summed and weighted by the size of
+    # the numbers
     k = 14
     head = tuple(range(1, k))  # sum 91, and the 1 makes every d > 1 run a DP
     for n, last in ((144, 53), (120, 29)):
@@ -241,10 +243,14 @@ def test_iep_partitions_cap(monkeypatch):
             counts = {}
             for a in coeffs:
                 counts[a % d] = counts.get(a % d, 0) + 1
-            chosen.append(min((3**k + 1) // 2, oracle.CLASS_STEP_COST * _class_steps(counts.values())))
+            if len(counts.keys() - {0}) == 1:
+                chosen.append(1)
+            else:
+                chosen.append(min((3**k + 1) // 2, oracle.CLASS_STEP_COST * _class_steps(counts.values())))
         planned = sum(chosen) * (1 + k * (n.bit_length() + k.bit_length()) // oracle.STEP_BITS)
-        # small d take the class DP, the large ones the subset DP
-        assert min(chosen) < (3**k + 1) // 2 == max(chosen)
+        # d = 2 takes the closed form, other small d the class DP, the large
+        # ones the subset DP
+        assert chosen[0] == 1 < min(chosen[1:]) < (3**k + 1) // 2 == max(chosen)
         # just under the budget: answered, one DP per divisor
         monkeypatch.setattr(oracle, "PARTITION_STEP_BUDGET", planned)
         stats = {}
@@ -298,7 +304,7 @@ def test_iep_partitions_refuses_one_dp_over_the_budget(monkeypatch):
     inst = CongruenceInstance((1,) * 16 + (n - 16,), 0, n)
     stats = {}
     assert iep_partitions(inst, stats=stats) == distinct_count_formula(inst)
-    assert stats == {"divisors": 1, "dp_steps": 33}
+    assert stats == {"divisors": 1, "closed_forms": 0, "dp_steps": 33}
     # seventeen distinct residues mod a prime: no two meet mod any d above
     # G = 1, so each DP costs what one mod L does, over the budget for either
     # kernel.  Refused before any DP and before the 2**17 subset sums are built
@@ -320,7 +326,7 @@ def test_iep_partitions_refuses_one_dp_over_the_budget(monkeypatch):
     stats = {}
     coeffs = (1000000007,) * 16 + (n - 16 * 1000000007,)
     assert iep_partitions(CongruenceInstance(coeffs, 1, n), stats=stats) == 0
-    assert stats == {"divisors": 0, "dp_steps": 0}
+    assert stats == {"divisors": 0, "closed_forms": 0, "dp_steps": 0}
 
 
 def test_iep_partitions_refuses_a_closure_over_the_budget(monkeypatch):
@@ -390,7 +396,7 @@ def test_iep_partitions_matches_reference_random(k, monkeypatch):
         # the cheaper DP never takes more steps than a subset DP plans
         assert stats["dp_steps"] <= stats["divisors"] * (3**k + 1) // 2
         if gcd(sum(coeffs), n) == 1:
-            assert stats == {"divisors": 0, "dp_steps": 0}
+            assert stats == {"divisors": 0, "closed_forms": 0, "dp_steps": 0}
         for kernel, cost in FORCED_KERNELS.items():
             monkeypatch.setattr(oracle, "CLASS_STEP_COST", cost)
             assert iep_partitions(inst) == reference, (kernel, coeffs, b, n)
@@ -523,6 +529,94 @@ def test_class_partition_sum_matches_the_two_class_closed_form():
             classes = [(r, m) for r, m in ((0, m0), (1, m1)) if m]
             z, _ = oracle._class_partition_sum(classes, 2, _block_row(m0 + m1, n))
             assert z == two_class_partition_sum(m0, m1, n), (m0, m1, n)
+            assert oracle._two_class_partition_sum(classes, 2, n) == z, (m0, m1, n)
+
+
+def test_two_class_partition_sum_is_both_dps_exhaustively():
+    # every d <= 12, n = d..6d, a nonzero class r and m0 + m1 <= min(10, n)
+    # with d | m1 r, as for every d of iep_partitions, whose full sum d
+    # divides: the closed form equals the class DP and the subset DP
+    checked = 0
+    for d in range(2, 13):
+        for n in range(d, 6 * d + 1, d):
+            for r in range(1, d):
+                for m1 in range(min(10, n) + 1):
+                    if m1 * r % d:
+                        continue
+                    for m0 in range(m1 == 0, min(10, n) - m1 + 1):
+                        classes = [(x, m) for x, m in ((0, m0), (r, m1)) if m]
+                        row = _block_row(m0 + m1, n)
+                        sums = [0]
+                        for a in (0,) * m0 + (r,) * m1:
+                            sums += [s + a for s in sums]
+                        wt = [0 if s % d else row[S.bit_count()] for S, s in enumerate(sums)]
+                        z = oracle._two_class_partition_sum(classes, d, n)
+                        assert z == oracle._class_partition_sum(classes, d, row)[0], (classes, d, n)
+                        assert z == oracle._partition_sum(wt)[0], (classes, d, n)
+                        checked += 1
+    assert checked == 6257
+
+
+def test_iep_partitions_runs_no_dp_for_a_divisor_with_classes_in_zero_and_r(monkeypatch):
+    # with the class DP forced, every DP records its d and classes: each d
+    # whose classes lie in {0, r} takes the closed form, and every other d a DP
+    monkeypatch.setattr(oracle, "CLASS_STEP_COST", 0)
+    closed_calls = record_calls(monkeypatch, "_two_class_partition_sum", oracle)
+    class_calls = record_calls(monkeypatch, "_class_partition_sum", oracle)
+    subset_calls = record_calls(monkeypatch, "_partition_sum", oracle)
+    rng = random.Random("closed-forms")
+    seen = [0, 0]  # closed forms, class DPs
+    for k in (5, 6, 7, 8):
+        for coeffs, n in _random_vectors(rng, k):
+            b = rng.choice((0, n // 2))
+            stats = {}
+            count = iep_partitions(CongruenceInstance(coeffs, b, n), stats=stats)
+            assert count == reference_iep_partitions(coeffs, n)[b], (coeffs, b, n)
+            assert stats["closed_forms"] == len(closed_calls)
+            assert stats["divisors"] == len(closed_calls) + len(class_calls)
+            for call in closed_calls:
+                assert len({r for r, _ in call["classes"]} - {0}) == 1, (coeffs, n, call["d"])
+            for call in class_calls:
+                assert len({r for r, _ in call["classes"]} - {0}) > 1, (coeffs, n, call["d"])
+            seen[0] += len(closed_calls)
+            seen[1] += len(class_calls)
+            closed_calls.clear()
+            class_calls.clear()
+    assert min(seen) > 10 and subset_calls == []
+    # every divisor of the six twos mod 12 above G = 2 has one class
+    stats = {}
+    assert iep_partitions(CongruenceInstance((2,) * 6, 0, 12), stats=stats) == 109440
+    assert stats == {"divisors": 3, "closed_forms": 3, "dp_steps": 0}
+    assert class_calls == subset_calls == []
+
+
+def _parity_count(m1, m0, b, n, z2):
+    """m1 ones and m0 twos mod n = 2 * (an odd prime), m1 even: C = {1, 2}, so
+    the count is (n(n-1)...(n-k+1) + h(2) Z_2) / n with h(2) = 2 [2 | b] - 1."""
+    total = perm(n, m0 + m1) + (2 * (b % 2 == 0) - 1) * z2
+    assert total % n == 0
+    return total // n
+
+
+def test_iep_partitions_answers_parity_instances_at_any_k():
+    # ones and twos mod 2000006 = 2 * 1000003 with an even number of ones:
+    # L = 2 and only d = 2 needs evaluating, by the closed form.  Z_2 from the
+    # class DP, called directly, up to k = 200, and from the separately
+    # written two_class_partition_sum up to k = 1000
+    n = 2000006
+    cases = [(j, j) for j in (10, 30, 60)] + [(10, 190), (190, 10), (4, 196), (200, 0)]
+    cases += [(j, j) for j in (200, 500)] + [(1000, 0), (998, 2)]
+    for m1, m0 in cases:
+        k = m0 + m1
+        classes = [(r, m) for r, m in ((1, m1), (0, m0)) if m]
+        z2 = two_class_partition_sum(m0, m1, n)
+        if k <= 200:
+            assert oracle._class_partition_sum(classes, 2, _block_row(k, n))[0] == z2, (m1, m0)
+        for b in (0, 1, 4):
+            stats = {}
+            count = iep_partitions(CongruenceInstance((1,) * m1 + (2,) * m0, b, n), stats=stats)
+            assert count == _parity_count(m1, m0, b, n, z2), (m1, m0, b)
+            assert stats == {"divisors": 1, "closed_forms": 1, "dp_steps": 0}
 
 
 def test_equal_coefficient_count_matches_brute_force():
@@ -541,9 +635,11 @@ def test_equal_coefficient_count_matches_brute_force():
 
 
 def test_iep_partitions_counts_one_class_past_the_subset_dp(monkeypatch):
-    # k = 17..100 equal coefficients with L = gcd(k a, n) above G = gcd(a, n):
-    # one residue class mod every d, so only the class DP answers
-    for k, a, n in ((17, 1, 34), (20, 7, 60), (30, 2, 45), (40, 3, 100), (64, 5, 96), (100, 7, 1000)):
+    # k = 17..1000 equal coefficients with L = gcd(k a, n) above G = gcd(a, n):
+    # one residue class mod every d, so every d takes the closed form
+    cases = ((17, 1, 34), (20, 7, 60), (30, 2, 45), (40, 3, 100), (64, 5, 96), (100, 7, 1000))
+    cases += ((250, 3, 1500), (500, 5, 10**6), (720, 11, 5040), (1000, 1, 10**6), (1000, 6, 3000))
+    for k, a, n in cases:
         assert gcd(k * a, n) != gcd(a, n)
         for b in (0, 1, 3, n // 2):
             stats = {}
@@ -551,9 +647,20 @@ def test_iep_partitions_counts_one_class_past_the_subset_dp(monkeypatch):
                 equal_coefficient_count(a, k, b, n)
             ), (k, a, b, n)
             assert stats["divisors"] > 0 or b % gcd(a, n)
+            assert stats["closed_forms"] == stats["divisors"] and stats["dp_steps"] == 0
+    # eight ones and nine twos mod 39: L = 13, and the two nonzero classes mod
+    # 13 need a DP.  With the class DP priced out, the subset DP of k = 17 is
+    # over the budget, and the plan is refused before any DP runs
+    inst = CongruenceInstance((1,) * 8 + (2,) * 9, 0, 39)
+    stats = {}
+    iep_partitions(inst, stats=stats)
+    assert stats["divisors"] == 1 and stats["closed_forms"] == 0 and stats["dp_steps"] > 0
     monkeypatch.setattr(oracle, "CLASS_STEP_COST", oracle.PARTITION_STEP_BUDGET + 1)
-    with pytest.raises(ResourceLimitError):
-        iep_partitions(CongruenceInstance((1,) * 17, 0, 34))
+    subset_calls = record_calls(monkeypatch, "_partition_sum", oracle)
+    class_calls = record_calls(monkeypatch, "_class_partition_sum", oracle)
+    with pytest.raises(ResourceLimitError, match=f"1 divisors of 13 need {(3**17 + 1) // 2} partition DP steps"):
+        iep_partitions(inst)
+    assert subset_calls == class_calls == []
 
 
 def test_iep_partitions_reaches_few_classes_at_large_k():

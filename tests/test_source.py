@@ -114,6 +114,7 @@ def test_brute_force_shares_no_code_with_the_other_counters():
         "iep_edge_subsets",
         "iep_partitions",
         "_partition_sum",
+        "_two_class_partition_sum",
         "_class_partition_sum",
         "_class_plan",
         "_edge_subset_signs",
