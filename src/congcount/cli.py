@@ -8,17 +8,21 @@ when oracle-compare gets fewer than two answers to compare).
 With --json each subcommand emits one JSON document instead of the
 human-readable text; --no-timing drops the elapsed_ms field so output is
 byte-for-byte reproducible.  Counts and other unbounded integers are printed
-as decimal strings.  A call whose first argument names a subcommand builds
-that subcommand's parser alone, as a standalone parser with prog "congcount
-<name>", and parses the rest of argv with it; the full tree of subparsers is
-built only for --help or a missing, unknown or option-like first argument.
+as decimal strings.  The document is written without the json module, byte
+for byte as json.dumps would write it; json is imported only for a string
+that needs escaping.  The terminal's width is read only to format help or
+usage text, not for each parser built.  A call whose first argument names a
+subcommand builds that subcommand's parser alone, as a standalone parser
+with prog "congcount <name>", and parses the rest of argv with it; the full
+tree of subparsers is built only for --help or a missing, unknown or
+option-like first argument.
 """
 
 import argparse
-import json
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from math import isfinite
 from time import perf_counter
 
 from . import graphenum
@@ -37,7 +41,26 @@ _EXIT_CODES = {
 
 
 class _HelpFormatter(argparse.HelpFormatter):
-    """argparse's formatter, wrapping at spaces only: textwrap would split iep-partitions."""
+    """argparse's formatter, wrapping at spaces only: textwrap would split iep-partitions.
+
+    argparse builds a formatter on every add_argument, only to check the
+    metavar, and its __init__ reads the terminal's size each time.  This one
+    reads it when help or usage text first needs the width, by argparse's
+    rule: width = columns - 2, help column = min(24, max(width - 20, 4)).
+    """
+
+    def __init__(self, prog):
+        super().__init__(prog, width=0)  # a stand-in width, so the terminal is not read here
+        del self._width, self._max_help_position
+
+    def __getattr__(self, name):
+        if name not in ("_width", "_max_help_position"):
+            raise AttributeError(name)
+        import shutil  # only help and usage text need it
+
+        self._width = shutil.get_terminal_size().columns - 2
+        self._max_help_position = min(24, max(self._width - 20, 2 * self._indent_increment))
+        return getattr(self, name)
 
     def _split_lines(self, text, width):
         import textwrap  # only help text needs it: the import would add to every process's start
@@ -50,7 +73,9 @@ class _HelpFormatter(argparse.HelpFormatter):
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs):
-        super().__init__(formatter_class=_HelpFormatter, **kwargs)
+        super().__init__(formatter_class=_HelpFormatter, add_help=False, **kwargs)
+        # argparse's own -h, its help string written out rather than looked up in gettext
+        self.add_argument("-h", "--help", action="help", help="show this help message and exit")
 
     def error(self, message):
         raise ValueError(message)
@@ -62,12 +87,52 @@ class _Encoded(str):
     __slots__ = ()
 
 
-def _json_document(doc: dict) -> str:
-    """json.dumps(doc), byte for byte, with each _Encoded value embedded as it is."""
-    return "{" + ", ".join(
-        f"{json.dumps(key)}: {value if isinstance(value, _Encoded) else json.dumps(value)}"
-        for key, value in doc.items()
-    ) + "}"
+def _json_text(value) -> str:
+    """json.dumps(value), byte for byte, with each _Encoded value embedded as it is.
+
+    Written for the values a document holds: str, int, float, bool, None,
+    lists and tuples, and dicts with str keys; a list holds no _Encoded.  A
+    str is written as it is, in quotes, when it is printable ASCII without
+    '"' or '\\'; a list's strs are checked as one joined text.  Anything else
+    goes to json.dumps.
+    """
+    if isinstance(value, str):
+        return value if isinstance(value, _Encoded) else _quoted(value)
+    if isinstance(value, dict):
+        items = [f"{_quoted(key)}: {_json_text(item)}" for key, item in value.items()]
+        return "{" + ", ".join(items) + "}"
+    if isinstance(value, (list, tuple)):
+        if value and isinstance(value[0], str):
+            text = '", "'.join(value)  # the joins put in 2 * (len - 1) quotes
+            if (
+                text.isascii() and text.isprintable() and "\\" not in text
+                and text.count('"') == 2 * len(value) - 2
+            ):
+                return f'["{text}"]'
+            return _dumps(value)
+        return "[" + ", ".join(map(_json_text, value)) + "]"
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float) and isfinite(value):
+        return float.__repr__(value)
+    return _dumps(value)
+
+
+def _quoted(text: str) -> str:
+    """json.dumps(text) for a str."""
+    if text.isascii() and text.isprintable() and "\\" not in text and '"' not in text:
+        return f'"{text}"'
+    return _dumps(text)
+
+
+def _dumps(value) -> str:
+    import json  # only for text to escape: the import would add to every process's start
+
+    return json.dumps(value)
 
 
 # human and notes are iterables of lines for stdout and stderr; each error makes the exit code 1
@@ -116,7 +181,7 @@ def _text(value) -> str:
     """A report value as check prints it: a set such as {1, 2}, true or false, or the string."""
     if isinstance(value, tuple):
         return "{" + ", ".join(map(str, value)) + "}"
-    return json.dumps(value) if isinstance(value, bool) else value
+    return _json_text(value) if isinstance(value, bool) else value
 
 
 def _run_compare(args) -> _Result:
@@ -289,7 +354,7 @@ def main(argv=None) -> int:
         if args.json:
             if not args.no_timing:
                 result.doc["elapsed_ms"] = round((perf_counter() - t0) * 1000, 3)
-            print(_json_document(result.doc))
+            print(_json_text(result.doc))
         else:
             for line in result.human:
                 print(line)

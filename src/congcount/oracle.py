@@ -293,9 +293,10 @@ def iep_partitions(inst: CongruenceInstance, stats: dict | None = None) -> int:
             f"{len(plans)} divisors of {ell} need {planned} partition DP steps; "
             f"budget is {PARTITION_STEP_BUDGET}"
         )
-    row = [0, n]  # row[s] = (-1)**(s-1) (s-1)! n, a block of s elements
-    for s in range(1, k):
-        row.append(-s * row[-1])
+    if any(kernel is not _two_class_partition_sum for _, _, kernel, _ in plans):
+        row = [0, n]  # row[s] = (-1)**(s-1) (s-1)! n, a block of s elements
+        for s in range(1, k):
+            row.append(-s * row[-1])
     total = n * lone
     subset_sums = None
     for d, h, kernel, classes in plans:

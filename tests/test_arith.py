@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 from math import factorial, gcd, prod
 
@@ -150,9 +151,22 @@ def test_binomial_rejects_negative():
         arith.binomial(2, -1)
 
 
-def test_is_prime_matches_trial_division_below_20000():
-    for n in range(-5, 20000):
-        assert arith.is_prime(n) == trial_division_prime(n)
-    # a composite is refused at its first divisor, however large its prime cofactor
+def test_is_prime_matches_trial_division_below_200000():
+    for n in range(-5, 200000):
+        assert arith.is_prime(n) == trial_division_prime(n), n
+
+
+def test_is_prime_refuses_strong_pseudoprimes_to_the_first_bases():
+    # the least strong pseudoprimes to the first 4, 11 and 12 primes as bases:
+    # each is caught only by a later base of the 13 that is_prime uses
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not arith.is_prime(n), n
+
+
+def test_is_prime_decides_large_numbers_at_once():
+    # trial division took 2.55 s to prove 10000000000000061 prime
+    start = time.perf_counter()
     for q in (1000000000039, 10000000000000061):
+        assert arith.is_prime(q), q
         assert not arith.is_prime(2 * q) and not arith.is_prime(3 * q), q
+    assert time.perf_counter() - start < 0.5

@@ -1,8 +1,11 @@
+import argparse
 import ast
 import hashlib
 import json
 import os
+import random
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -610,6 +613,110 @@ def test_standalone_parse_equals_the_full_tree(capsys, monkeypatch, argv):
     name, *rest = argv.split()
     standalone = _parse(capsys, cli._build_parser(name), rest)
     assert standalone == _parse(capsys, cli._build_parser(), argv.split())
+
+
+class _EagerFormatter(cli._HelpFormatter):
+    """cli's formatter, reading the terminal in __init__ as argparse's own formatter does."""
+
+    def __init__(self, prog):
+        argparse.HelpFormatter.__init__(self, prog)
+
+
+@pytest.mark.parametrize("columns", ["20", "40", "65", "80", "120", "200"])
+def test_help_equals_a_formatter_reading_the_terminal_when_built(capsys, monkeypatch, columns):
+    # the width read when text is formatted, by argparse's rule, gives every help text
+    # that a width read on each formatter's construction gives
+    monkeypatch.setenv("COLUMNS", columns)
+    lazy = {argv: run_cli(capsys, argv.split()) for argv in HELP_AT_80_COLUMNS}
+    monkeypatch.setattr(cli, "_HelpFormatter", _EagerFormatter)
+    eager = {argv: run_cli(capsys, argv.split()) for argv in HELP_AT_80_COLUMNS}
+    assert lazy == eager
+    assert all(code == 0 and out.startswith("usage: ") for code, out, _ in lazy.values())
+
+
+def test_only_help_reads_the_terminal(capsys, monkeypatch):
+    # argparse's own formatter reads the terminal size when built, and a parser builds
+    # one on every add_argument; a call that prints no help reads it never
+    reads = record_calls(monkeypatch, "get_terminal_size", shutil)
+    for argv in (
+        "count --n 5 --b 0 --coeffs 1,1,3 --json",
+        "check --n 6 --coeffs 2,4",
+        "graph-table --kmax 3 --connected --json --no-timing",
+        "series --beta 2 --order 3",
+        "count --n 5 --coeffs 1",
+    ):
+        run_cli(capsys, argv.split())
+    assert reads == []
+    assert run_cli(capsys, ["count", "--help"])[0] == 0
+    assert len(reads) == 1
+
+
+def test_json_output_is_json_dumps_of_its_document(capsys):
+    # the --json variant of every row that names a subcommand: what is printed is what
+    # json.dumps prints for the document it decodes to
+    written = 0
+    for _, command, *_ in TRANSCRIPTS:
+        argv = command.split()
+        if argv and argv[0] in SUBCOMMANDS:
+            argv += [flag for flag in ("--json", "--no-timing") if flag not in argv]
+            _, out, _ = run_cli(capsys, argv)
+            if out:
+                assert out == json.dumps(json.loads(out)) + "\n", command
+                written += 1
+    assert written >= 20
+
+
+def _document(rng, depth=0):
+    """A random dict of the shapes a --json document holds, its strings printable ASCII."""
+    def text():
+        return "".join(rng.choices("0123456789-/ .:abcxyz{}[],", k=rng.randrange(6)))
+
+    def value():
+        kind = rng.randrange(9 if depth < 2 else 8)
+        return [
+            text,
+            lambda: rng.randrange(-10**30, 10**30) if rng.random() < 0.3 else rng.randrange(100),
+            lambda: round(rng.random() * 10 ** rng.randrange(-8, 20), rng.randrange(4)),
+            lambda: rng.random() < 0.5,
+            lambda: None,
+            lambda: [text() for _ in range(rng.randrange(4))],
+            lambda: tuple(rng.randrange(40) for _ in range(rng.randrange(4))),
+            lambda: [rng.randrange(-5, 5) for _ in range(rng.randrange(1, 4))],
+            lambda: _document(rng, depth + 1),
+        ][kind]()
+
+    return {text(): value() for _ in range(rng.randrange(5))}
+
+
+def test_json_writer_equals_json_dumps_on_generated_documents():
+    rng = random.Random(35)
+    for _ in range(3000):
+        doc = _document(rng)
+        assert cli._json_text(doc) == json.dumps(doc), doc
+    # an _Encoded value is embedded as the JSON text it is
+    rows = [{"e": 0, "k": 1, "count": "1"}, {"e": 1, "k": 2, "count": "1"}]
+    doc = {"inputs": {"k_max": 2, "connected": True}, "rows": cli._Encoded(json.dumps(rows))}
+    assert cli._json_text(doc) == json.dumps({**doc, "rows": rows})
+
+
+def test_json_writer_escapes_as_json_dumps_does():
+    # quotes, backslashes, control characters, DEL and non-ASCII: each must be escaped,
+    # alone, inside a longer text, as a key and anywhere in a list of strings
+    odd = ['"', "\\", "\x00", "\n", "\t", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600", '", "']
+    for char in odd:
+        for text in (char, f"a{char}b", f"{char}{char}"):
+            for doc in (
+                {"s": text},
+                {text: "s"},
+                {"list": [text]},
+                {"list": [text, "1", "2"]},
+                {"list": ("1", text, "2")},
+                {"list": ["1", "2", text]},
+                {"nested": {"coeffs": ["7", text]}},
+            ):
+                assert cli._json_text(doc) == json.dumps(doc), doc
+    doc = {"nan": float("nan"), "inf": float("inf"), "-inf": -float("inf")}
+    assert cli._json_text(doc) == json.dumps(doc)
 
 
 def option_help(text):

@@ -104,6 +104,27 @@ def test_cli_start_up_skips_introspection_modules():
     assert loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"} == set()
 
 
+def test_cli_writes_json_without_the_json_module():
+    """A fresh `import congcount.cli` and one `check --json --no-timing` call load no json module."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+        "import congcount.cli; "
+        "congcount.cli.main(['check', '--n', '6', '--coeffs', '2,4', '--json', '--no-timing']); "
+        "print(*sorted(set(sys.modules) - before), file=sys.stderr)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(PACKAGE_DIR.parent)],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout == (
+        '{"inputs": {"n": "6", "coeffs": ["2", "4"]}, '
+        '"report": {"holds": false, "failing_subset": [1], "full_sum_gcd": "6"}}\n'
+    )
+    loaded = set(done.stderr.split())
+    assert "congcount.cli" in loaded
+    assert [name for name in loaded if name.lstrip("_").split(".")[0] == "json"] == []
+
+
 def test_brute_force_shares_no_code_with_the_other_counters():
     """brute_force_distinct is the ground truth the other routes are checked against, so it calls none of them."""
     others = {
